@@ -1,5 +1,7 @@
 #include "core/additivity.h"
 
+#include <functional>
+
 namespace xplain {
 
 bool RelationIsUniqueCore(const UniversalRelation& universal, int relation) {
@@ -14,9 +16,25 @@ bool RelationIsUniqueCore(const UniversalRelation& universal, int relation) {
   return true;
 }
 
-AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
-                                          const AggregateSpec& agg) {
-  const Database& db = universal.db();
+namespace {
+
+/// Answers RelationIsUniqueCore(relation): by scanning U(D), or by reading
+/// the bits an ExplainEngine maintains.
+using UniqueCoreFn = std::function<bool(int relation)>;
+
+UniqueCoreFn ScanUniqueCore(const UniversalRelation& universal) {
+  return [&universal](int relation) {
+    return RelationIsUniqueCore(universal, relation);
+  };
+}
+
+UniqueCoreFn ReadUniqueCore(const std::vector<uint8_t>& unique_core) {
+  return [&unique_core](int relation) { return unique_core[relation] != 0; };
+}
+
+AdditivityReport AggregateAdditivity(const Database& db,
+                                     const UniqueCoreFn& is_core,
+                                     const AggregateSpec& agg) {
   const bool has_bf = db.HasBackAndForthKeys();
 
   if (agg.kind == AggregateKind::kCountStar) {
@@ -44,7 +62,7 @@ AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
     for (const ResolvedForeignKey& fk : db.resolved_foreign_keys()) {
       if (fk.kind != ForeignKeyKind::kBackAndForth) continue;
       if (fk.parent_relation != agg.column.relation) continue;
-      if (RelationIsUniqueCore(universal, fk.child_relation)) {
+      if (is_core(fk.child_relation)) {
         return {true,
                 "count(distinct " + db.ColumnName(agg.column) +
                     ") with back-and-forth FK from unique core " +
@@ -56,7 +74,7 @@ AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
     }
     // Condition 3: no back-and-forth keys and the counted relation itself
     // is a unique core.
-    if (!has_bf && RelationIsUniqueCore(universal, agg.column.relation)) {
+    if (!has_bf && is_core(agg.column.relation)) {
       return {true, "count(distinct " + db.ColumnName(agg.column) +
                         ") over a unique-core relation with no "
                         "back-and-forth foreign keys"};
@@ -69,10 +87,11 @@ AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
                      " is not known to be intervention-additive"};
 }
 
-AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
-                                      const NumericalQuery& query) {
+AdditivityReport QueryAdditivity(const Database& db,
+                                 const UniqueCoreFn& is_core,
+                                 const NumericalQuery& query) {
   for (const AggregateQuery& q : query.subqueries()) {
-    AdditivityReport report = CheckAggregateAdditivity(universal, q.agg);
+    AdditivityReport report = AggregateAdditivity(db, is_core, q.agg);
     if (!report.additive) {
       report.reason = (q.name.empty() ? "subquery" : q.name) + ": " +
                       report.reason;
@@ -82,24 +101,19 @@ AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
   return {true, "all subqueries intervention-additive"};
 }
 
-bool HasUniqueCore(const UniversalRelation& universal) {
-  for (int r = 0; r < universal.db().num_relations(); ++r) {
-    if (RelationIsUniqueCore(universal, r)) return true;
-  }
-  return false;
-}
-
-namespace {
-
-/// Cell-exactness check for one subquery; assumes CheckAggregateAdditivity
+/// Cell-exactness check for one subquery; assumes AggregateAdditivity
 /// already succeeded for it.
-AdditivityReport CheckSubqueryCellExact(const UniversalRelation& universal,
-                                        const AggregateQuery& q) {
-  const Database& db = universal.db();
+AdditivityReport SubqueryCellExact(const Database& db,
+                                   const UniqueCoreFn& is_core,
+                                   const AggregateQuery& q) {
   if (q.agg.kind == AggregateKind::kCountStar) {
     // Exact iff Rule (i) is exact, i.e. a unique core exists; the WHERE is
     // then evaluated on exactly the rows that survive (Corollary 3.6).
-    if (HasUniqueCore(universal)) {
+    bool has_core = false;
+    for (int r = 0; r < db.num_relations() && !has_core; ++r) {
+      has_core = is_core(r);
+    }
+    if (has_core) {
       return {true, "count(*) with a unique-core relation"};
     }
     return {false,
@@ -113,8 +127,7 @@ AdditivityReport CheckSubqueryCellExact(const UniversalRelation& universal,
   bool via_bf_child = false;
   for (const ResolvedForeignKey& fk : db.resolved_foreign_keys()) {
     if (fk.kind == ForeignKeyKind::kBackAndForth &&
-        fk.parent_relation == counted &&
-        RelationIsUniqueCore(universal, fk.child_relation)) {
+        fk.parent_relation == counted && is_core(fk.child_relation)) {
       via_bf_child = true;
       break;
     }
@@ -143,17 +156,45 @@ AdditivityReport CheckSubqueryCellExact(const UniversalRelation& universal,
   return {true, "count(distinct parent.pk) with parent-only WHERE"};
 }
 
-}  // namespace
-
-AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
-                                     const NumericalQuery& query) {
-  AdditivityReport base = CheckQueryAdditivity(universal, query);
+AdditivityReport CellAdditivity(const Database& db,
+                                const UniqueCoreFn& is_core,
+                                const NumericalQuery& query) {
+  AdditivityReport base = QueryAdditivity(db, is_core, query);
   if (!base.additive) return base;
   for (const AggregateQuery& q : query.subqueries()) {
-    AdditivityReport report = CheckSubqueryCellExact(universal, q);
+    AdditivityReport report = SubqueryCellExact(db, is_core, q);
     if (!report.additive) return report;
   }
   return {true, "cube degrees are exact for every equality explanation"};
+}
+
+}  // namespace
+
+AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
+                                          const AggregateSpec& agg) {
+  return AggregateAdditivity(universal.db(), ScanUniqueCore(universal), agg);
+}
+
+AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
+                                      const NumericalQuery& query) {
+  return QueryAdditivity(universal.db(), ScanUniqueCore(universal), query);
+}
+
+AdditivityReport CheckQueryAdditivity(const Database& db,
+                                      const std::vector<uint8_t>& unique_core,
+                                      const NumericalQuery& query) {
+  return QueryAdditivity(db, ReadUniqueCore(unique_core), query);
+}
+
+AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
+                                     const NumericalQuery& query) {
+  return CellAdditivity(universal.db(), ScanUniqueCore(universal), query);
+}
+
+AdditivityReport CheckCellAdditivity(const Database& db,
+                                     const std::vector<uint8_t>& unique_core,
+                                     const NumericalQuery& query) {
+  return CellAdditivity(db, ReadUniqueCore(unique_core), query);
 }
 
 }  // namespace xplain

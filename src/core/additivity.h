@@ -1,7 +1,9 @@
 #ifndef XPLAIN_CORE_ADDITIVITY_H_
 #define XPLAIN_CORE_ADDITIVITY_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "relational/aggregate.h"
 #include "relational/query.h"
@@ -38,6 +40,13 @@ AdditivityReport CheckAggregateAdditivity(const UniversalRelation& universal,
 AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
                                       const NumericalQuery& query);
 
+/// As above, reading precomputed per-relation RelationIsUniqueCore bits
+/// (indexed by relation, as ExplainEngine maintains them) instead of
+/// scanning U(D).
+AdditivityReport CheckQueryAdditivity(const Database& db,
+                                      const std::vector<uint8_t>& unique_core,
+                                      const NumericalQuery& query);
+
 /// Refined *cell-exactness* check (an xplain strengthening; see DESIGN.md):
 /// guarantees that the cube-based mu_interv equals the exact program-P
 /// degree for EVERY conjunctive equality explanation, not just that the
@@ -52,9 +61,10 @@ AdditivityReport CheckQueryAdditivity(const UniversalRelation& universal,
 AdditivityReport CheckCellAdditivity(const UniversalRelation& universal,
                                      const NumericalQuery& query);
 
-/// True if some relation of `universal` is a unique core (Rule (i) is then
-/// exact for every conjunctive explanation).
-bool HasUniqueCore(const UniversalRelation& universal);
+/// As above over precomputed unique-core bits (see CheckQueryAdditivity).
+AdditivityReport CheckCellAdditivity(const Database& db,
+                                     const std::vector<uint8_t>& unique_core,
+                                     const NumericalQuery& query);
 
 /// True if every row of `relation` appears in at most one universal row
 /// (i.e. the relation functionally pins the universal tuple it occurs in —

@@ -1,5 +1,8 @@
 #include "core/cube_algorithm.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "core/degree.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -11,6 +14,11 @@ namespace {
 /// Milliseconds elapsed since `start_us` on the trace clock.
 double MsSince(int64_t start_us) {
   return static_cast<double>(Trace::NowMicros() - start_us) / 1000.0;
+}
+
+bool IsCounting(AggregateKind kind) {
+  return kind == AggregateKind::kCountStar ||
+         kind == AggregateKind::kCountDistinct;
 }
 
 }  // namespace
@@ -34,29 +42,14 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
 
   TableM table;
   table.attributes = attributes;
-
-  // Step 1: u_j = q_j(D).
   XPLAIN_TRACE_SPAN("tablem.compute");
-  int64_t step_start_us = Trace::NowMicros();
-  {
-    XPLAIN_TRACE_SPAN("tablem.originals");
-    table.original_values.reserve(m);
-    for (const AggregateQuery& q : query.subqueries()) {
-      Value v = EvaluateAggregate(universal, q.agg, &q.where);
-      table.original_values.push_back(v.is_null() ? 0.0 : v.AsNumeric());
-    }
-  }
-  table.build_stats.originals_ms = MsSince(step_start_us);
 
-  // Step 2: the m cubes. Counting subqueries take the columnar fast path:
-  // one dictionary-encoding pass shared by all m cubes, then code-vector
-  // group-bys.
-  bool all_counting = options.use_column_cache;
+  // Step 2 first: the m cubes. Counting subqueries take the columnar fast
+  // path: one dictionary-coded view (the workspace's held columns, or a
+  // private encoding) shared by all m cubes, then code-vector group-bys.
+  bool columnar = options.use_column_cache;
   for (const AggregateQuery& q : query.subqueries()) {
-    if (q.agg.kind != AggregateKind::kCountStar &&
-        q.agg.kind != AggregateKind::kCountDistinct) {
-      all_counting = false;
-    }
+    if (!IsCounting(q.agg.kind)) columnar = false;
   }
   // Cubes are held by shared_ptr so rows can come either from the
   // maintained workspace (shared across calls) or a fresh computation.
@@ -64,121 +57,102 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   CubeWorkspace* workspace = options.workspace;
   std::vector<std::shared_ptr<const DataCube>> cubes;
   cubes.reserve(m);
-  table.build_stats.used_column_cache = all_counting;
-  step_start_us = Trace::NowMicros();
+  table.build_stats.used_column_cache = columnar;
+  int64_t step_start_us = Trace::NowMicros();
   TraceSpan cubes_span("tablem.cubes");
-  if (all_counting) {
+  std::optional<ColumnCache> cache;
+  std::vector<int> attr_indices;
+  if (columnar) {
     // Cache the grouping attributes, every distinct-counted column, and
     // every filter column, so both the group-by and the WHERE clauses run
     // on dictionary codes.
     std::vector<ColumnRef> cached_columns = attributes;
     auto add_column = [&cached_columns](const ColumnRef& column) {
-      for (const ColumnRef& col : cached_columns) {
-        if (col == column) return;
+      if (std::find(cached_columns.begin(), cached_columns.end(), column) ==
+          cached_columns.end()) {
+        cached_columns.push_back(column);
       }
-      cached_columns.push_back(column);
     };
     for (const AggregateQuery& q : query.subqueries()) {
-      if (q.agg.kind == AggregateKind::kCountDistinct) {
-        add_column(q.agg.column);
-      }
+      if (q.agg.kind == AggregateKind::kCountDistinct) add_column(q.agg.column);
       for (const ConjunctivePredicate& disjunct : q.where.disjuncts()) {
         for (const AtomicPredicate& atom : disjunct.atoms()) {
           add_column(atom.column);
         }
       }
     }
-    std::shared_ptr<const ColumnCache> cache_ptr =
-        workspace ? workspace->LookupColumns(cached_columns) : nullptr;
-    if (cache_ptr == nullptr) {
-      ColumnCache built = ColumnCache::Build(universal, cached_columns);
-      cache_ptr = workspace
-                      ? workspace->InsertColumns(cached_columns,
-                                                 std::move(built))
-                      : std::make_shared<const ColumnCache>(std::move(built));
-    }
-    const ColumnCache& cache = *cache_ptr;
-    std::vector<int> attr_indices;
+    cache = workspace ? workspace->Columns(universal, cached_columns)
+                      : ColumnCache::Build(universal, cached_columns);
     for (size_t i = 0; i < attributes.size(); ++i) {
       attr_indices.push_back(static_cast<int>(i));
     }
-    for (const AggregateQuery& q : query.subqueries()) {
-      if (workspace != nullptr) {
-        std::shared_ptr<const DataCube> hit =
-            workspace->LookupCube(db, q, attributes);
-        if (hit != nullptr) {
-          cubes.push_back(std::move(hit));
-          continue;
-        }
+  }
+  for (const AggregateQuery& q : query.subqueries()) {
+    if (workspace != nullptr) {
+      std::shared_ptr<const DataCube> hit =
+          workspace->LookupCube(db, q, attributes);
+      if (hit != nullptr) {
+        cubes.push_back(std::move(hit));
+        continue;
       }
+    }
+    RowSet filter_rows;
+    if (cache) {
       XPLAIN_ASSIGN_OR_RETURN(CodedFilter filter,
-                              CodedFilter::Compile(cache, q.where));
-      RowSet filter_rows = filter.EvalAllRows(cache);
-      int distinct_index = q.agg.kind == AggregateKind::kCountDistinct
-                               ? cache.FindColumn(q.agg.column)
-                               : -1;
-      XPLAIN_ASSIGN_OR_RETURN(
-          DataCube cube,
-          DataCube::ComputeCached(cache, attr_indices, q.agg.kind,
-                                  distinct_index, &filter_rows,
-                                  options.cube));
-      if (workspace != nullptr &&
-          CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
-        // The cell-liveness sidecar: COUNT(*) over the same filter/attrs.
-        DataCube::CellMap counts;
-        if (q.agg.kind == AggregateKind::kCountStar) {
-          counts = cube.cells();
-        } else {
-          XPLAIN_ASSIGN_OR_RETURN(
-              DataCube count_cube,
-              DataCube::ComputeCached(cache, attr_indices,
-                                      AggregateKind::kCountStar, -1,
-                                      &filter_rows, options.cube));
-          counts = std::move(*count_cube.mutable_cells());
-        }
-        cubes.push_back(workspace->InsertCube(db, q, attributes,
-                                              std::move(cube),
-                                              std::move(counts)));
-      } else {
-        cubes.push_back(std::make_shared<const DataCube>(std::move(cube)));
-      }
+                              CodedFilter::Compile(*cache, q.where));
+      filter_rows = filter.EvalAllRows(*cache);
     }
-  } else {
-    for (const AggregateQuery& q : query.subqueries()) {
-      if (workspace != nullptr) {
-        std::shared_ptr<const DataCube> hit =
-            workspace->LookupCube(db, q, attributes);
-        if (hit != nullptr) {
-          cubes.push_back(std::move(hit));
-          continue;
-        }
-      }
-      XPLAIN_ASSIGN_OR_RETURN(
-          DataCube cube, DataCube::Compute(universal, attributes, q.agg,
-                                           &q.where, options.cube));
-      if (workspace != nullptr &&
-          CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
-        DataCube::CellMap counts;
-        if (q.agg.kind == AggregateKind::kCountStar) {
-          counts = cube.cells();
-        } else {
-          XPLAIN_ASSIGN_OR_RETURN(
-              DataCube count_cube,
-              DataCube::Compute(universal, attributes,
-                                AggregateSpec::CountStar(), &q.where,
-                                options.cube));
-          counts = std::move(*count_cube.mutable_cells());
-        }
-        cubes.push_back(workspace->InsertCube(db, q, attributes,
-                                              std::move(cube),
-                                              std::move(counts)));
-      } else {
-        cubes.push_back(std::make_shared<const DataCube>(std::move(cube)));
-      }
+    // The cube of `agg` over q's filter, on whichever path applies.
+    auto compute = [&](const AggregateSpec& agg) {
+      return cache ? DataCube::ComputeCached(
+                         *cache, attr_indices, agg.kind,
+                         agg.kind == AggregateKind::kCountDistinct
+                             ? cache->FindColumn(agg.column)
+                             : -1,
+                         &filter_rows, options.cube)
+                   : DataCube::Compute(universal, attributes, agg, &q.where,
+                                       options.cube);
+    };
+    XPLAIN_ASSIGN_OR_RETURN(DataCube cube, compute(q.agg));
+    if (workspace == nullptr || !CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
+      cubes.push_back(std::make_shared<const DataCube>(std::move(cube)));
+      continue;
     }
+    // The cell-liveness sidecar: COUNT(*) over the same filter/attrs.
+    DataCube::CellMap counts;
+    if (q.agg.kind == AggregateKind::kCountStar) {
+      counts = cube.cells();
+    } else {
+      XPLAIN_ASSIGN_OR_RETURN(DataCube count_cube,
+                              compute(AggregateSpec::CountStar()));
+      counts = std::move(*count_cube.mutable_cells());
+    }
+    cubes.push_back(workspace->InsertCube(db, q, attributes, std::move(cube),
+                                          std::move(counts)));
   }
   cubes_span.End();
   table.build_stats.cube_build_ms = MsSince(step_start_us);
+
+  // Step 1: u_j = q_j(D). A counting cube's apex (ALL, ..., ALL) cell
+  // aggregates every filter-passing row, so it is u_j exactly (integer-
+  // valued; an absent apex, where no row passes, reads 0.0 like
+  // EvaluateAggregate). Other aggregates take one pass over U(D): float
+  // sums depend on summation order.
+  step_start_us = Trace::NowMicros();
+  {
+    XPLAIN_TRACE_SPAN("tablem.originals");
+    table.original_values.reserve(m);
+    for (int j = 0; j < m; ++j) {
+      const AggregateQuery& q = query.subqueries()[j];
+      if (IsCounting(q.agg.kind)) {
+        table.original_values.push_back(cubes[j]->GrandTotal());
+        continue;
+      }
+      Value v = EvaluateAggregate(universal, q.agg, &q.where);
+      table.original_values.push_back(v.is_null() ? 0.0 : v.AsNumeric());
+    }
+  }
+  table.build_stats.originals_ms = MsSince(step_start_us);
 
   // Step 3: full outer join, then the shared assemble step (support
   // pruning + degree columns) that the cluster coordinator reuses over

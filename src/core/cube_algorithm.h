@@ -17,7 +17,8 @@ namespace xplain {
 /// copies it into QueryStats when ExplainOptions::collect_stats is set.
 /// Thread-safety: plain data, externally synchronized.
 struct TableMStats {
-  /// Step 1: evaluating u_j = q_j(D).
+  /// Step 1: u_j = q_j(D), read off the cube apexes for counting
+  /// subqueries, one scan of U(D) for any other.
   double originals_ms = 0.0;
   /// Step 2: building the m data cubes (columnar or generic path).
   double cube_build_ms = 0.0;
@@ -82,11 +83,11 @@ struct TableMOptions {
   /// COUNT(*) or COUNT(DISTINCT) (bit-identical results; see
   /// bench_ablation_cube for the speedup).
   bool use_column_cache = true;
-  /// Optional store of incrementally-maintained cubes and column caches
+  /// Optional store of incrementally-maintained cubes and encoded columns
   /// shared across calls (DESIGN.md §10). When set, per-subquery cubes are
-  /// looked up before computing and maintainable fresh results are
-  /// retained. nullptr computes everything from scratch (identical
-  /// results).
+  /// looked up before computing, maintainable fresh results are retained,
+  /// and the columnar path reads the held columns. nullptr computes
+  /// everything afresh (identical results).
   CubeWorkspace* workspace = nullptr;
 };
 

@@ -75,15 +75,6 @@ std::string CanonicalCubeKey(const Database& db, const AggregateQuery& query,
   return key;
 }
 
-std::string CanonicalColumnsKey(const std::vector<ColumnRef>& columns) {
-  std::string key = "cols;";
-  for (const ColumnRef& col : columns) {
-    AppendField(&key, std::to_string(col.relation) + "." +
-                          std::to_string(col.attribute));
-  }
-  return key;
-}
-
 bool CubeWorkspace::CubeIsMaintainable(const Database& db,
                                        const AggregateSpec& agg) {
   switch (agg.kind) {
@@ -140,33 +131,29 @@ std::shared_ptr<const DataCube> CubeWorkspace::InsertCube(
   return shared;
 }
 
-std::shared_ptr<const ColumnCache> CubeWorkspace::LookupColumns(
-    const std::vector<ColumnRef>& columns) const {
-  const std::string key = CanonicalColumnsKey(columns);
-  MutexLock lock(&mu_);
-  auto it = columns_.find(key);
-  if (it == columns_.end()) {
-    ++column_misses_;
-    XPLAIN_COUNTER_ADD("workspace.column_misses", 1);
-    return nullptr;
+ColumnCache CubeWorkspace::Columns(const UniversalRelation& universal,
+                                   const std::vector<ColumnRef>& columns) {
+  std::vector<std::shared_ptr<const EncodedColumn>> held(columns.size());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    {
+      MutexLock lock(&mu_);
+      auto it = columns_.find(columns[c]);
+      if (it != columns_.end()) {
+        held[c] = it->second;
+        ++column_hits_;
+        XPLAIN_COUNTER_ADD("workspace.column_hits", 1);
+        continue;
+      }
+      ++column_misses_;
+      XPLAIN_COUNTER_ADD("workspace.column_misses", 1);
+    }
+    auto encoded = std::make_shared<const EncodedColumn>(
+        EncodedColumn::Encode(universal, columns[c]));
+    // A concurrent first use may have won the race; keep its encoding.
+    MutexLock lock(&mu_);
+    held[c] = columns_.emplace(columns[c], std::move(encoded)).first->second;
   }
-  ++column_hits_;
-  XPLAIN_COUNTER_ADD("workspace.column_hits", 1);
-  return it->second;
-}
-
-std::shared_ptr<const ColumnCache> CubeWorkspace::InsertColumns(
-    const std::vector<ColumnRef>& columns, ColumnCache cache) {
-  auto shared = std::make_shared<ColumnCache>(std::move(cache));
-  const std::string key = CanonicalColumnsKey(columns);
-  MutexLock lock(&mu_);
-  if (frozen_ || columns_.size() >= limits_.max_column_caches ||
-      columns_.count(key) != 0) {
-    return shared;
-  }
-  columns_.emplace(key, shared);
-  XPLAIN_COUNTER_ADD("workspace.column_inserts", 1);
-  return shared;
+  return ColumnCache(universal, std::move(held));
 }
 
 void CubeWorkspace::BeginDelta() {
@@ -381,8 +368,9 @@ void CubeWorkspace::CommitDelta(Patch&& patch, const UniversalRemap& remap) {
       entry.counts.erase(coord);
     }
   }
-  for (auto& [key, cache] : columns_) {
-    cache->ApplyRemap(remap.surviving_universal);
+  for (auto& [ref, column] : columns_) {
+    column = std::make_shared<const EncodedColumn>(
+        column->Remapped(remap.surviving_universal));
   }
   cells_patched_ += patch.cells_patched;
   cells_recomputed_ += patch.cells_recomputed;

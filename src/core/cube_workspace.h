@@ -1,11 +1,13 @@
 #ifndef XPLAIN_CORE_CUBE_WORKSPACE_H_
 #define XPLAIN_CORE_CUBE_WORKSPACE_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "relational/column_cache.h"
 #include "relational/cube.h"
 #include "relational/query.h"
 #include "util/mutex.h"
@@ -17,10 +19,6 @@ namespace xplain {
 /// collides. Thread-safety: safe (pure).
 std::string CanonicalCubeKey(const Database& db, const AggregateQuery& query,
                              const std::vector<ColumnRef>& attributes);
-
-/// Canonical key for a maintained ColumnCache (the cached column list).
-/// Thread-safety: safe (pure).
-std::string CanonicalColumnsKey(const std::vector<ColumnRef>& columns);
 
 /// Counters snapshot of one CubeWorkspace (see GetStats).
 /// Thread-safety: plain data, externally synchronized.
@@ -35,9 +33,11 @@ struct CubeWorkspaceStats {
   size_t column_entries = 0;
 };
 
-/// A store of incrementally-maintained DataCubes and ColumnCaches keyed by
-/// (aggregate, filter, attributes) / column list, shared across Explain
-/// calls of one ExplainEngine (DESIGN.md §10).
+/// A store of incrementally-maintained DataCubes keyed by (aggregate,
+/// filter, attributes), plus one dictionary-encoded column per ColumnRef,
+/// shared across Explain calls of one ExplainEngine (DESIGN.md §10). Each
+/// column is encoded lazily on first use and held once, so the schema's
+/// column count bounds the column store.
 ///
 /// Cubes are retained only when their aggregate admits exact subtraction
 /// maintenance (CubeIsMaintainable): COUNT(*)/SUM(int64) subtract cleanly;
@@ -59,11 +59,10 @@ struct CubeWorkspaceStats {
 /// this with its database writer lock).
 class CubeWorkspace {
  public:
-  /// Bounds on retained entries; inserts past the cap are skipped (the
+  /// Bounds on retained cubes; inserts past the cap are skipped (the
   /// workspace is an optimization, never a correctness dependency).
   struct Limits {
     size_t max_cubes = 64;
-    size_t max_column_caches = 8;
   };
 
   /// A planned maintenance update for the whole workspace: per-entry cell
@@ -111,14 +110,11 @@ class CubeWorkspace {
       const std::vector<ColumnRef>& attributes, DataCube cube,
       DataCube::CellMap counts);
 
-  /// The maintained ColumnCache for `columns`, or nullptr.
-  std::shared_ptr<const ColumnCache> LookupColumns(
-      const std::vector<ColumnRef>& columns) const;
-
-  /// Offers a freshly built ColumnCache for retention (same skip rules as
-  /// InsertCube); returns it shared either way.
-  std::shared_ptr<const ColumnCache> InsertColumns(
-      const std::vector<ColumnRef>& columns, ColumnCache cache);
+  /// A view over the held encoding of each of `columns` of `universal`
+  /// (the engine's U(D)); columns not yet held are encoded, outside the
+  /// lock, and retained. Views share the held arrays; none is copied.
+  ColumnCache Columns(const UniversalRelation& universal,
+                      const std::vector<ColumnRef>& columns);
 
   /// Freezes inserts for the duration of a delta (lookups stay open).
   void BeginDelta();
@@ -130,9 +126,10 @@ class CubeWorkspace {
   Patch PlanDelta(const UniversalRelation& old_universal,
                   const UniversalRemap& remap) const;
 
-  /// Applies `patch` and remaps every retained ColumnCache onto the
-  /// surviving rows, then unfreezes inserts. Caller must hold exclusive
-  /// access over every reader that could hold a cube/cache pointer.
+  /// Applies `patch` and replaces every held column with its remap onto
+  /// the surviving rows (views made earlier keep the old arrays), then
+  /// unfreezes inserts. Caller must hold exclusive access over every
+  /// reader that could hold a cube pointer.
   void CommitDelta(Patch&& patch, const UniversalRemap& remap);
 
   /// Unfreezes inserts without applying anything (failed/abandoned delta).
@@ -157,7 +154,7 @@ class CubeWorkspace {
   Limits limits_;
   mutable Mutex mu_{kMutexRankCubeWorkspace};
   std::unordered_map<std::string, CubeEntry> cubes_ XPLAIN_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::shared_ptr<ColumnCache>> columns_
+  std::map<ColumnRef, std::shared_ptr<const EncodedColumn>> columns_
       XPLAIN_GUARDED_BY(mu_);
   bool frozen_ XPLAIN_GUARDED_BY(mu_) = false;
   mutable int64_t cube_hits_ XPLAIN_GUARDED_BY(mu_) = 0;

@@ -19,6 +19,14 @@ double PhaseMs(int64_t start_us) {
   return static_cast<double>(Trace::NowMicros() - start_us) / 1000.0;
 }
 
+/// Worker count for a requested num_threads: 0 means one per hardware
+/// core, and no request gets more than that (a client-sent value must not
+/// spawn an unbounded pool).
+int ClampThreads(int requested) {
+  const int cores = ThreadPool::DefaultNumThreads();
+  return requested <= 0 ? cores : std::min(requested, cores);
+}
+
 double DeltaOf(const std::map<std::string, double>& deltas,
                const std::string& name) {
   auto it = deltas.find(name);
@@ -44,6 +52,7 @@ std::vector<std::pair<std::string, double>> QueryStats::ToFlat() const {
   std::vector<std::pair<std::string, double>> out = {
       {"total_ms", total_ms},
       {"semijoin_ms", semijoin_ms},
+      {"originals_ms", originals_ms},
       {"cube_build_ms", cube_build_ms},
       {"merge_ms", merge_ms},
       {"degree_ms", degree_ms},
@@ -175,11 +184,10 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
         "per-cube supports to merge)");
   }
   PartialExplainReport report;
-  report.additivity = CheckQueryAdditivity(*universal_, question.query);
-  report.cell_additivity = CheckCellAdditivity(*universal_, question.query);
-  const int num_threads = options.num_threads == 0
-                              ? ThreadPool::DefaultNumThreads()
-                              : options.num_threads;
+  report.additivity = CheckQueryAdditivity(*db_, unique_core_, question.query);
+  report.cell_additivity =
+      CheckCellAdditivity(*db_, unique_core_, question.query);
+  const int num_threads = ClampThreads(options.num_threads);
   std::unique_ptr<ThreadPool> workers;
   if (num_threads > 1) workers = std::make_unique<ThreadPool>(num_threads);
   TableMOptions table_options;
@@ -208,8 +216,7 @@ Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
           " attributes were given");
     }
   }
-  const int threads = num_threads == 0 ? ThreadPool::DefaultNumThreads()
-                                       : num_threads;
+  const int threads = ClampThreads(num_threads);
   std::unique_ptr<ThreadPool> workers;
   if (threads > 1) workers = std::make_unique<ThreadPool>(threads);
   std::vector<std::vector<double>> values(cells.size());
@@ -246,6 +253,7 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
     report.stats_collected = true;
     QueryStats& stats = report.stats;
     stats.total_ms = PhaseMs(explain_start_us);
+    stats.originals_ms = report.table.build_stats.originals_ms;
     stats.cube_build_ms = report.table.build_stats.cube_build_ms;
     stats.merge_ms = report.table.build_stats.merge_ms;
     stats.degree_ms = report.table.build_stats.degree_ms;
@@ -271,18 +279,16 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
   };
 
   ExplainReport report;
-  report.original_value = question.query.EvaluateOnUniversal(*universal_);
-  report.additivity = CheckQueryAdditivity(*universal_, question.query);
-  report.cell_additivity = CheckCellAdditivity(*universal_, question.query);
+  report.additivity = CheckQueryAdditivity(*db_, unique_core_, question.query);
+  report.cell_additivity =
+      CheckCellAdditivity(*db_, unique_core_, question.query);
   report.used_cube = options.use_cube;
 
   // The parallel execution layer (DESIGN.md §6): one pool per Explain
   // call, shared by the cube shards, the top-K scans, and the exact
   // rescoring. num_threads == 1 (or a single-core machine) keeps `workers`
   // null — the exact sequential legacy path.
-  const int num_threads = options.num_threads == 0
-                              ? ThreadPool::DefaultNumThreads()
-                              : options.num_threads;
+  const int num_threads = ClampThreads(options.num_threads);
   std::unique_ptr<ThreadPool> workers;
   if (num_threads > 1) workers = std::make_unique<ThreadPool>(num_threads);
 
@@ -302,6 +308,9 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
         report.table,
         ComputeTableMNaive(*universal_, question, attributes, naive_options));
   }
+  // Q(D) from the u_j both table paths computed: the same Combine over the
+  // same values as NumericalQuery::EvaluateOnUniversal, without its scan.
+  report.original_value = question.query.Combine(report.table.original_values);
 
   const bool need_exact = options.degree == DegreeKind::kIntervention &&
                           !report.cell_additivity.additive;

@@ -28,9 +28,9 @@ struct ExplainOptions {
   double min_support = 0.0;
   /// Worker threads for the parallel execution layer (cube aggregation,
   /// degree columns, top-K scans, exact rescoring). 0 = one thread per
-  /// hardware core (ThreadPool::DefaultNumThreads); 1 = the exact
-  /// sequential legacy path, no pool created. Results are bit-identical
-  /// for every setting (DESIGN.md §6).
+  /// hardware core (ThreadPool::DefaultNumThreads), which also caps larger
+  /// values; 1 = the exact sequential legacy path, no pool created.
+  /// Results are bit-identical for every setting (DESIGN.md §6).
   int num_threads = 0;
   /// false selects the naive (No Cube) evaluation -- exponential; only for
   /// small candidate spaces and the Figure 12 baseline.
@@ -68,6 +68,9 @@ struct QueryStats {
   double total_ms = 0.0;
   /// Time inside semijoin reduction (MarkDanglingRows), wherever it ran.
   double semijoin_ms = 0.0;
+  /// Computing u_j = q_j(D) (TableMStats::originals_ms); about zero on
+  /// counting questions, whose u_j are read off the cube apexes.
+  double originals_ms = 0.0;
   /// Building the m data cubes (TableMStats::cube_build_ms).
   double cube_build_ms = 0.0;
   /// Full-outer-joining the cubes + support pruning.
@@ -199,7 +202,8 @@ class ExplainEngine {
   /// coordinator prunes after merging all shards) and the local
   /// additivity verdicts, but does no ranking. Requires the cube path
   /// (options.use_cube == false is kInvalidArgument: the naive table
-  /// carries no per-cube supports to merge).
+  /// carries no per-cube supports to merge). num_threads is capped as in
+  /// ExplainOptions.
   [[nodiscard]] Result<PartialExplainReport> ExplainPartialResolved(
       const UserQuestion& question, const std::vector<ColumnRef>& attributes,
       const ExplainOptions& options = ExplainOptions()) const;
@@ -210,7 +214,8 @@ class ExplainEngine {
   /// question's subqueries). The coordinator sums these across shards and
   /// applies sign * E(...) — exact whenever the partition co-locates every
   /// base row's universal occurrences (DESIGN.md §13). `num_threads`
-  /// follows the ExplainOptions convention (0 = per-core, 1 = sequential).
+  /// follows the ExplainOptions convention (0 = per-core, also the cap;
+  /// 1 = sequential).
   [[nodiscard]] Result<std::vector<std::vector<double>>> RescoreCells(
       const UserQuestion& question, const std::vector<ColumnRef>& attributes,
       const std::vector<Tuple>& cells, int num_threads = 0) const;
@@ -242,7 +247,7 @@ class ExplainEngine {
     return unique_core_;
   }
 
-  /// The engine's maintained cube/column-cache store.
+  /// The engine's maintained cube and encoded-column store.
   const CubeWorkspace& workspace() const { return *workspace_; }
 
  private:

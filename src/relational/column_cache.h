@@ -2,7 +2,7 @@
 #define XPLAIN_RELATIONAL_COLUMN_CACHE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "relational/predicate.h"
@@ -10,67 +10,79 @@
 
 namespace xplain {
 
-/// A columnar, dictionary-encoded materialization of selected universal-
-/// relation columns.
+/// One dictionary-encoded universal-relation column: a dense uint32 code
+/// per universal row plus the per-code dictionary. Codes are assigned in
+/// first-appearance base-row order; the dictionary is deduplicated and
+/// bijective with the values present in the base relation.
+/// Thread-safety: immutable once built; concurrent const access is safe.
+struct EncodedColumn {
+  ColumnRef column;
+  std::vector<uint32_t> codes;     // [universal row]
+  std::vector<Value> dictionary;   // [code]
+
+  /// Encodes `column` of `universal` (one Value hash per base row, then an
+  /// integer gather per universal row).
+  static EncodedColumn Encode(const UniversalRelation& universal,
+                              const ColumnRef& column);
+
+  /// The column restricted to the surviving universal rows after a delta
+  /// (`surviving_universal`: old row indices, ascending — see
+  /// UniversalRemap). The dictionary is kept as-is, so it may become a
+  /// superset of the live values; every consumer keys by code or decodes
+  /// per live row, which is unaffected.
+  EncodedColumn Remapped(
+      const std::vector<uint32_t>& surviving_universal) const;
+};
+
+/// A columnar view over selected universal-relation columns, each one an
+/// EncodedColumn shared with its owner (a CubeWorkspace holds each column
+/// once and hands out views; Build encodes private columns).
 ///
 /// The row-at-a-time cube evaluation hashes Tuples of Values per input row;
-/// for the multi-cube Algorithm 1 this dominates the runtime. The cache
-/// extracts each needed column once into a dense uint32 code array plus a
-/// per-column dictionary, after which group-by keys are cheap integer
-/// vectors. (The same columnar trick backs the ablation benchmark
-/// bench_ablation_cube.)
+/// for the multi-cube Algorithm 1 this dominates the runtime. Over a view,
+/// group-by keys are cheap integer vectors. (The same columnar trick backs
+/// the ablation benchmark bench_ablation_cube.)
 ///
-/// Thread-safety: thread-compatible — concurrent const access is safe;
-/// ApplyRemap requires exclusive access.
+/// Thread-safety: immutable; concurrent const access is safe.
 class ColumnCache {
  public:
-  /// Materializes `columns` of `universal`. Codes are assigned in first-
-  /// appearance base-row order; dictionaries are per-column, deduplicated,
-  /// and bijective with the values present in the base relation.
+  /// A view over already-encoded columns of `universal` (shared, not
+  /// copied); every column must cover universal.NumRows() rows.
+  ColumnCache(const UniversalRelation& universal,
+              std::vector<std::shared_ptr<const EncodedColumn>> columns);
+
+  /// Encodes `columns` of `universal` into a view that owns them.
   static ColumnCache Build(const UniversalRelation& universal,
                            const std::vector<ColumnRef>& columns);
 
-  /// The universal relation the codes index into.
-  const UniversalRelation& universal() const { return *universal_; }
-  /// The cached columns, in cache order.
-  const std::vector<ColumnRef>& columns() const { return columns_; }
+  /// The cached column at position `col`.
+  const ColumnRef& column(int col) const { return columns_[col]->column; }
   /// Number of cached columns.
   int num_columns() const { return static_cast<int>(columns_.size()); }
-  /// Number of encoded rows (equals universal().NumRows() at Build /
-  /// ApplyRemap time).
+  /// Number of encoded rows (U(D)'s row count when the view was made).
   size_t NumRows() const { return num_rows_; }
 
-  /// Shrinks the cache to the surviving universal rows after a delta:
-  /// gathers each column's code array over `surviving_universal` (old row
-  /// indices, ascending — see UniversalRemap). Dictionaries are kept
-  /// as-is, so they may become supersets of the live values; every
-  /// consumer keys by code or decodes per live row, which is unaffected.
-  /// Requires exclusive access.
-  void ApplyRemap(const std::vector<uint32_t>& surviving_universal);
-
   /// Dictionary code of column `col` in universal row `row`.
-  uint32_t Code(size_t row, int col) const {
-    return codes_[col][row];
-  }
+  uint32_t Code(size_t row, int col) const { return codes_[col][row]; }
 
   /// Decoded value for a column code.
   const Value& Decode(int col, uint32_t code) const {
-    return dictionaries_[col][code];
+    return columns_[col]->dictionary[code];
   }
 
   /// Number of codes in column `col`'s dictionary. Also used as the
   /// reserved "ALL" sentinel code for rolled-up cube coordinates.
-  size_t DictionarySize(int col) const { return dictionaries_[col].size(); }
+  size_t DictionarySize(int col) const {
+    return columns_[col]->dictionary.size();
+  }
 
   /// Index of `column` within the cache, or -1.
   int FindColumn(const ColumnRef& column) const;
 
  private:
-  const UniversalRelation* universal_ = nullptr;
-  std::vector<ColumnRef> columns_;
-  size_t num_rows_ = 0;
-  std::vector<std::vector<uint32_t>> codes_;        // [col][row]
-  std::vector<std::vector<Value>> dictionaries_;    // [col][code]
+  size_t num_rows_;
+  std::vector<std::shared_ptr<const EncodedColumn>> columns_;
+  std::vector<const uint32_t*> codes_;  // columns_[c]->codes.data()
 };
 
 /// Pre-evaluates a filter over all universal rows into a bitmap (rows

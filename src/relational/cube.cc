@@ -215,7 +215,7 @@ Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
   DataCube cube;
   cube.attributes_.reserve(d);
   for (int idx : attr_indices) {
-    cube.attributes_.push_back(cache.columns()[idx]);
+    cube.attributes_.push_back(cache.column(idx));
   }
 
   auto add_input = [&](FastAccumulator* acc, size_t u) {

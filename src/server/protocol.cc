@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "relational/parser.h"
 #include "server/json.h"
@@ -110,9 +111,10 @@ Status ParseOptions(const JsonValue& object, ExplainOptions* options) {
   const JsonValue* threads = object.Find("num_threads");
   if (threads != nullptr) {
     if (!threads->is_number() || threads->number_value() < 0 ||
-        threads->number_value() != std::floor(threads->number_value())) {
+        threads->number_value() != std::floor(threads->number_value()) ||
+        threads->number_value() > std::numeric_limits<int>::max()) {
       return Status::InvalidArgument(
-          "options.num_threads must be a non-negative integer");
+          "options.num_threads must be a non-negative integer in int range");
     }
     options->num_threads = static_cast<int>(threads->number_value());
   }

@@ -206,9 +206,9 @@ TEST_F(ObservabilityTest, CollectStatsPopulatesQueryStats) {
     return false;
   };
   for (const char* key :
-       {"total_ms", "semijoin_ms", "cube_build_ms", "merge_ms", "degree_ms",
-        "topk_ms", "exact_rescore_ms", "table_rows", "fixpoint_runs",
-        "fixpoint_rounds", "fixpoint_deleted_tuples"}) {
+       {"total_ms", "semijoin_ms", "originals_ms", "cube_build_ms",
+        "merge_ms", "degree_ms", "topk_ms", "exact_rescore_ms", "table_rows",
+        "fixpoint_runs", "fixpoint_rounds", "fixpoint_deleted_tuples"}) {
     EXPECT_TRUE(has_key(key)) << "QueryStats::ToFlat missing " << key;
   }
   EXPECT_NE(report.stats.ToString().find("cube_build_ms"), std::string::npos);

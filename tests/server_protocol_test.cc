@@ -128,6 +128,15 @@ TEST(ProtocolTest, RejectsBadOptionValues) {
   EXPECT_FALSE(
       ParseRequest(prefix + R"x("options":{"min_support":-0.5}})x").ok());
   EXPECT_FALSE(ParseRequest(prefix + R"x("options":42})x").ok());
+  // num_threads must fit an int: a larger client value is rejected, not
+  // truncated into a thread count.
+  Result<Request> huge =
+      ParseRequest(prefix + R"x("options":{"num_threads":3000000000}})x");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      ParseRequest(prefix + R"x("options":{"num_threads":2147483647}})x")
+          .ok());
 }
 
 TEST(ProtocolTest, ExtractRequestIdIsBestEffort) {

@@ -125,6 +125,28 @@ TEST(XplaindServiceTest, ConcurrentLoopbackMatchesDirectEngineByteForByte) {
   EXPECT_GT(stats.cache.hits, 0);
 }
 
+// A client-sent num_threads far beyond the machine is capped at one
+// thread per core: the request answers, byte-identical to num_threads 1.
+TEST(XplaindServiceTest, HugeNumThreadsIsCappedNotSpawned) {
+  auto with_threads = [](int variant, const std::string& threads) {
+    std::string line = MakeLine(variant);
+    const std::string options = "\"options\":{";
+    return line.insert(line.find(options) + options.size(),
+                       "\"num_threads\":" + threads + ",");
+  };
+  Database direct_db = MakeDb();
+  ExplainEngine direct_engine =
+      UnwrapOrDie(ExplainEngine::Create(&direct_db));
+  auto service = UnwrapOrDie(XplaindService::Create(MakeDb()));
+  LoopbackTransport transport(service.get());
+  for (int variant : {0, 4}) {
+    const std::string got = transport.Call(with_threads(variant, "100000"));
+    EXPECT_NE(got.find("\"ok\":true"), std::string::npos) << got;
+    EXPECT_EQ(got, DirectResponse(direct_db, direct_engine,
+                                  with_threads(variant, "1")));
+  }
+}
+
 TEST(XplaindServiceTest, OverloadRejectsExactlyBeyondCapacity) {
   // One worker + queue depth 2 = admission capacity 3. The execute hook
   // holds the worker so admission decisions are fully deterministic.
