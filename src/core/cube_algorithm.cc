@@ -1,8 +1,5 @@
 #include "core/cube_algorithm.h"
 
-#include <algorithm>
-#include <optional>
-
 #include "core/degree.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -44,49 +41,22 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   table.attributes = attributes;
   XPLAIN_TRACE_SPAN("tablem.compute");
 
-  // Step 2 first: the m cubes. Counting subqueries take the columnar fast
-  // path: one dictionary-coded view (the workspace's held columns, or a
-  // private encoding) shared by all m cubes, then code-vector group-bys.
-  bool columnar = options.use_column_cache;
-  for (const AggregateQuery& q : query.subqueries()) {
-    if (!IsCounting(q.agg.kind)) columnar = false;
-  }
+  // Step 2 first: the m cubes, all from one dictionary-coded view (the
+  // workspace's held columns, or a private encoding) of the grouping
+  // attributes, the aggregated columns and the filter columns.
   // Cubes are held by shared_ptr so rows can come either from the
   // maintained workspace (shared across calls) or a fresh computation.
   const Database& db = universal.db();
   CubeWorkspace* workspace = options.workspace;
   std::vector<std::shared_ptr<const DataCube>> cubes;
   cubes.reserve(m);
-  table.build_stats.used_column_cache = columnar;
   int64_t step_start_us = Trace::NowMicros();
   TraceSpan cubes_span("tablem.cubes");
-  std::optional<ColumnCache> cache;
-  std::vector<int> attr_indices;
-  if (columnar) {
-    // Cache the grouping attributes, every distinct-counted column, and
-    // every filter column, so both the group-by and the WHERE clauses run
-    // on dictionary codes.
-    std::vector<ColumnRef> cached_columns = attributes;
-    auto add_column = [&cached_columns](const ColumnRef& column) {
-      if (std::find(cached_columns.begin(), cached_columns.end(), column) ==
-          cached_columns.end()) {
-        cached_columns.push_back(column);
-      }
-    };
-    for (const AggregateQuery& q : query.subqueries()) {
-      if (q.agg.kind == AggregateKind::kCountDistinct) add_column(q.agg.column);
-      for (const ConjunctivePredicate& disjunct : q.where.disjuncts()) {
-        for (const AtomicPredicate& atom : disjunct.atoms()) {
-          add_column(atom.column);
-        }
-      }
-    }
-    cache = workspace ? workspace->Columns(universal, cached_columns)
-                      : ColumnCache::Build(universal, cached_columns);
-    for (size_t i = 0; i < attributes.size(); ++i) {
-      attr_indices.push_back(static_cast<int>(i));
-    }
-  }
+  const std::vector<ColumnRef> columns =
+      CubeColumns(attributes, query.subqueries());
+  const ColumnCache cache = workspace
+                                ? workspace->Columns(universal, columns)
+                                : ColumnCache::Build(universal, columns);
   for (const AggregateQuery& q : query.subqueries()) {
     if (workspace != nullptr) {
       std::shared_ptr<const DataCube> hit =
@@ -96,35 +66,25 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
         continue;
       }
     }
-    RowSet filter_rows;
-    if (cache) {
-      XPLAIN_ASSIGN_OR_RETURN(CodedFilter filter,
-                              CodedFilter::Compile(*cache, q.where));
-      filter_rows = filter.EvalAllRows(*cache);
-    }
-    // The cube of `agg` over q's filter, on whichever path applies.
-    auto compute = [&](const AggregateSpec& agg) {
-      return cache ? DataCube::ComputeCached(
-                         *cache, attr_indices, agg.kind,
-                         agg.kind == AggregateKind::kCountDistinct
-                             ? cache->FindColumn(agg.column)
-                             : -1,
-                         &filter_rows, options.cube)
-                   : DataCube::Compute(universal, attributes, agg, &q.where,
-                                       options.cube);
-    };
-    XPLAIN_ASSIGN_OR_RETURN(DataCube cube, compute(q.agg));
+    XPLAIN_ASSIGN_OR_RETURN(CodedFilter filter,
+                            CodedFilter::Compile(cache, q.where));
+    const std::vector<uint32_t> rows = filter.MatchingRows(cache);
+    XPLAIN_ASSIGN_OR_RETURN(
+        DataCube cube,
+        DataCube::Compute(cache, attributes, q.agg, rows, options.cube));
     if (workspace == nullptr || !CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
       cubes.push_back(std::make_shared<const DataCube>(std::move(cube)));
       continue;
     }
-    // The cell-liveness sidecar: COUNT(*) over the same filter/attrs.
+    // The cell-liveness sidecar: COUNT(*) over the same rows.
     DataCube::CellMap counts;
     if (q.agg.kind == AggregateKind::kCountStar) {
       counts = cube.cells();
     } else {
-      XPLAIN_ASSIGN_OR_RETURN(DataCube count_cube,
-                              compute(AggregateSpec::CountStar()));
+      XPLAIN_ASSIGN_OR_RETURN(
+          DataCube count_cube,
+          DataCube::Compute(cache, attributes, AggregateSpec::CountStar(),
+                            rows, options.cube));
       counts = std::move(*count_cube.mutable_cells());
     }
     cubes.push_back(workspace->InsertCube(db, q, attributes, std::move(cube),

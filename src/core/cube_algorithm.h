@@ -20,7 +20,7 @@ struct TableMStats {
   /// Step 1: u_j = q_j(D), read off the cube apexes for counting
   /// subqueries, one scan of U(D) for any other.
   double originals_ms = 0.0;
-  /// Step 2: building the m data cubes (columnar or generic path).
+  /// Step 2: building the m data cubes.
   double cube_build_ms = 0.0;
   /// Step 3: full outer join of the cubes + support pruning.
   double merge_ms = 0.0;
@@ -30,8 +30,6 @@ struct TableMStats {
   size_t rows_before_support = 0;
   /// Rows of the final table M.
   size_t rows = 0;
-  /// True when the dictionary-encoded columnar cube path was taken.
-  bool used_column_cache = false;
 };
 
 /// The materialized table M of Algorithm 1: one row per candidate
@@ -79,15 +77,11 @@ struct TableMOptions {
   /// Keep only rows where at least one v_j reaches this support (the paper
   /// used 1000 on natality). 0 keeps everything.
   double min_support = 0.0;
-  /// Use the dictionary-encoded columnar fast path when every subquery is
-  /// COUNT(*) or COUNT(DISTINCT) (bit-identical results; see
-  /// bench_ablation_cube for the speedup).
-  bool use_column_cache = true;
   /// Optional store of incrementally-maintained cubes and encoded columns
   /// shared across calls (DESIGN.md §10). When set, per-subquery cubes are
   /// looked up before computing, maintainable fresh results are retained,
-  /// and the columnar path reads the held columns. nullptr computes
-  /// everything afresh (identical results).
+  /// and the cubes read the held columns. nullptr computes everything
+  /// afresh from private encodings (identical results).
   CubeWorkspace* workspace = nullptr;
 };
 

@@ -19,49 +19,25 @@ void AppendField(std::string* out, const std::string& field) {
   *out += ';';
 }
 
-/// The per-ancestor-cell effect of the removed rows: how many filter-
-/// passing rows die, their exact non-null sum, and the removed extrema
-/// that decide whether a MIN/MAX cell must be recomputed.
-struct RemovalRecord {
-  double count = 0.0;
-  double sum = 0.0;
-  bool any_non_null = false;
-  bool has_min = false;
-  double min = 0.0;
-  bool has_max = false;
-  double max = 0.0;
-
-  void MergeFrom(const RemovalRecord& other) {
-    count += other.count;
-    sum += other.sum;
-    any_non_null = any_non_null || other.any_non_null;
-    if (other.has_min && (!has_min || other.min < min)) {
-      has_min = true;
-      min = other.min;
-    }
-    if (other.has_max && (!has_max || other.max > max)) {
-      has_max = true;
-      max = other.max;
-    }
-  }
-};
-
-using RecordMap =
-    std::unordered_map<Tuple, RemovalRecord, TupleHash, TupleEq>;
-using AccumulatorMap =
-    std::unordered_map<Tuple, AggregateAccumulator, TupleHash, TupleEq>;
-
-/// Coordinate of `base` with every attribute whose bit is set in `mask`
-/// replaced by NULL (= ALL), matching the cube rollup lattice.
-Tuple MaskedCoord(const Tuple& base, uint32_t mask) {
-  Tuple coord = base;
-  for (size_t i = 0; i < coord.size(); ++i) {
-    if (mask & (1u << i)) coord[i] = Value::Null();
-  }
-  return coord;
-}
-
 }  // namespace
+
+std::vector<ColumnRef> CubeColumns(const std::vector<ColumnRef>& attributes,
+                                   std::span<const AggregateQuery> queries) {
+  std::vector<ColumnRef> columns;
+  auto add = [&columns](const ColumnRef& column) {
+    if (std::find(columns.begin(), columns.end(), column) == columns.end()) {
+      columns.push_back(column);
+    }
+  };
+  for (const ColumnRef& attr : attributes) add(attr);
+  for (const AggregateQuery& query : queries) {
+    if (query.agg.kind != AggregateKind::kCountStar) add(query.agg.column);
+    for (const ConjunctivePredicate& disjunct : query.where.disjuncts()) {
+      for (const AtomicPredicate& atom : disjunct.atoms()) add(atom.column);
+    }
+  }
+  return columns;
+}
 
 std::string CanonicalCubeKey(const Database& db, const AggregateQuery& query,
                              const std::vector<ColumnRef>& attributes) {
@@ -187,8 +163,7 @@ CubeWorkspaceStats CubeWorkspace::GetStats() const {
 }
 
 CubeWorkspace::Patch CubeWorkspace::PlanDelta(
-    const UniversalRelation& old_universal,
-    const UniversalRemap& remap) const {
+    const UniversalRelation& old_universal, const UniversalRemap& remap) {
   TraceSpan span("workspace.plan_delta");
   Patch patch;
   if (remap.removed_universal.empty()) return patch;
@@ -207,143 +182,87 @@ CubeWorkspace::Patch CubeWorkspace::PlanDelta(
   for (size_t e = 0; e < entries.size(); ++e) {
     const CubeEntry& entry = *entries[e];
     Patch::EntryPatch& entry_patch = patch.entries[e];
-    const AggregateKind kind = entry.query.agg.kind;
-    const bool needs_column = kind != AggregateKind::kCountStar;
-    const size_t d = entry.attributes.size();
-    const uint32_t num_masks = 1u << d;
+    const AggregateSpec& agg = entry.query.agg;
+    const ColumnCache cache = Columns(
+        old_universal, CubeColumns(entry.attributes, {&entry.query, 1}));
+    Result<CodedFilter> filter = CodedFilter::Compile(cache, entry.query.where);
+    XPLAIN_CHECK(filter.ok()) << filter.status().ToString();
+    CubeOptions options;
+    options.max_attributes = static_cast<int>(entry.attributes.size());
+    // Every row cubed here took part in the retained cube over the same
+    // columns (no NULL key, numeric value column), so the kernel cannot
+    // fail.
+    auto cube_of = [&](const AggregateSpec& spec,
+                       const std::vector<uint32_t>& rows) {
+      Result<DataCube> cube =
+          DataCube::Compute(cache, entry.attributes, spec, rows, options);
+      XPLAIN_CHECK(cube.ok()) << cube.status().ToString();
+      return std::move(cube).ValueOrDie();
+    };
 
-    // Phase 1: fold the removed filter-passing rows into base-cell removal
-    // records (one hash op per row, as in DataCube::Compute).
-    RecordMap base_records;
+    std::vector<uint32_t> removed;
     for (uint32_t u : remap.removed_universal) {
-      if (!entry.query.where.EvalUniversal(old_universal, u)) continue;
-      Tuple base;
-      base.reserve(d);
-      for (const ColumnRef& attr : entry.attributes) {
-        base.push_back(old_universal.ValueAt(u, attr));
-      }
-      RemovalRecord& rec = base_records[std::move(base)];
-      rec.count += 1.0;
-      if (needs_column) {
-        const Value& x = old_universal.ValueAt(u, entry.query.agg.column);
-        if (!x.is_null()) {
-          rec.any_non_null = true;
-          // DISTINCT columns need not be numeric (any_non_null above is
-          // all its dirtiness test reads); the numeric folds below are
-          // only consulted for SUM/AVG/MIN/MAX.
-          if (kind == AggregateKind::kCountDistinct) continue;
-          const double v = x.AsNumeric();
-          rec.sum += v;
-          if (!rec.has_min || v < rec.min) {
-            rec.has_min = true;
-            rec.min = v;
-          }
-          if (!rec.has_max || v > rec.max) {
-            rec.has_max = true;
-            rec.max = v;
-          }
-        }
-      }
+      if (filter->Eval(cache, u)) removed.push_back(u);
     }
-    if (base_records.empty()) continue;
-
-    // Phase 2: roll the removal records up the 2^d lattice.
-    RecordMap ancestor_records;
-    for (const auto& [base, rec] : base_records) {
-      for (uint32_t mask = 0; mask < num_masks; ++mask) {
-        ancestor_records[MaskedCoord(base, mask)].MergeFrom(rec);
-      }
+    if (removed.empty()) continue;
+    // The removal effects per ancestor cell: how many filter-passing rows
+    // die, whether any of them had a non-NULL value (COUNT(DISTINCT) > 0),
+    // and their sum (SUM) or extremum (MIN/MAX).
+    const DataCube removed_counts =
+        cube_of(AggregateSpec::CountStar(), removed);
+    DataCube non_null;
+    DataCube effects;
+    if (agg.kind != AggregateKind::kCountStar) {
+      non_null = cube_of(AggregateSpec::CountDistinct(agg.column), removed);
+    }
+    if (agg.kind == AggregateKind::kSum || agg.kind == AggregateKind::kMin ||
+        agg.kind == AggregateKind::kMax) {
+      effects = cube_of(agg, removed);
     }
 
-    // Decide which cells need full recomputation: an extremum may have
-    // died (MIN/MAX) or the aggregate does not subtract (DISTINCT/AVG).
-    std::unordered_map<Tuple, AggregateAccumulator, TupleHash, TupleEq>
-        dirty;
-    for (const auto& [coord, rec] : ancestor_records) {
-      bool needs_recompute = false;
-      switch (kind) {
-        case AggregateKind::kCountStar:
-        case AggregateKind::kSum:
-          break;
-        case AggregateKind::kMin:
-          needs_recompute =
-              rec.has_min && rec.min <= entry.cube->CellValue(coord);
-          break;
-        case AggregateKind::kMax:
-          needs_recompute =
-              rec.has_max && rec.max >= entry.cube->CellValue(coord);
-          break;
-        case AggregateKind::kCountDistinct:
-        case AggregateKind::kAvg:
-          needs_recompute = rec.any_non_null;
-          break;
-      }
-      if (needs_recompute) {
-        dirty.emplace(coord, AggregateAccumulator(kind));
-      }
-    }
-
-    // Targeted recomputation over the surviving rows: base-cell
-    // accumulators first, then merge only into dirty ancestors. The
-    // retained accumulator kinds are order-insensitive (integer sums are
-    // exact, MIN/MAX and DISTINCT are idempotent folds), so this matches
-    // a fresh DataCube::Compute byte for byte.
-    if (!dirty.empty()) {
-      AccumulatorMap survivors;
-      for (uint32_t u : remap.surviving_universal) {
-        if (!entry.query.where.EvalUniversal(old_universal, u)) continue;
-        Tuple base;
-        base.reserve(d);
-        for (const ColumnRef& attr : entry.attributes) {
-          base.push_back(old_universal.ValueAt(u, attr));
-        }
-        auto it = survivors.try_emplace(std::move(base),
-                                        AggregateAccumulator(kind))
-                      .first;
-        it->second.Add(needs_column ? old_universal.ValueAt(
-                                          u, entry.query.agg.column)
-                                    : Value::Null());
-      }
-      for (const auto& [base, acc] : survivors) {
-        for (uint32_t mask = 0; mask < num_masks; ++mask) {
-          auto it = dirty.find(MaskedCoord(base, mask));
-          if (it != dirty.end()) it->second.Merge(acc);
-        }
-      }
-    }
-
-    // Phase 3: emit the per-cell updates.
-    for (const auto& [coord, rec] : ancestor_records) {
+    // Emit the per-cell updates. A surviving cell needs recomputation when
+    // an extremum may have died (MIN/MAX) or the aggregate does not
+    // subtract (DISTINCT/AVG); those are read off one cube over the
+    // surviving rows. The retained kinds are order-insensitive (integer
+    // sums are exact, MIN/MAX and DISTINCT are idempotent folds), so it
+    // matches a fresh cube byte for byte.
+    std::vector<Tuple> dirty;
+    for (const auto& [coord, removed_count] : removed_counts.cells()) {
       auto count_it = entry.counts.find(coord);
       const double old_count =
           count_it == entry.counts.end() ? 0.0 : count_it->second;
-      const double new_count = old_count - rec.count;
+      const double new_count = old_count - removed_count;
+      ++patch.cells_patched;
       if (new_count <= 0.0) {
         entry_patch.erasures.push_back(coord);
-        ++patch.cells_patched;
         continue;
       }
       entry_patch.count_updates.emplace_back(coord, new_count);
-      auto dirty_it = dirty.find(coord);
-      if (dirty_it != dirty.end()) {
-        entry_patch.value_updates.emplace_back(
-            coord, dirty_it->second.FinishNumeric());
-        ++patch.cells_recomputed;
-      } else {
-        switch (kind) {
-          case AggregateKind::kCountStar:
-            entry_patch.value_updates.emplace_back(coord, new_count);
-            break;
-          case AggregateKind::kSum:
-            entry_patch.value_updates.emplace_back(
-                coord, entry.cube->CellValue(coord) - rec.sum);
-            break;
-          default:
-            break;  // MIN/MAX with surviving extremum: value unchanged.
-        }
+      if (agg.kind == AggregateKind::kCountStar) {
+        entry_patch.value_updates.emplace_back(coord, new_count);
+        continue;
       }
-      ++patch.cells_patched;
+      if (non_null.CellValue(coord) == 0.0) continue;  // no value lost
+      const double value = entry.cube->CellValue(coord);
+      const double effect = effects.CellValue(coord);
+      if (agg.kind == AggregateKind::kSum) {
+        entry_patch.value_updates.emplace_back(coord, value - effect);
+      } else if ((agg.kind != AggregateKind::kMin || effect <= value) &&
+                 (agg.kind != AggregateKind::kMax || effect >= value)) {
+        dirty.push_back(coord);
+      }
     }
+    if (dirty.empty()) continue;
+    std::vector<uint32_t> survivors;
+    for (uint32_t u : remap.surviving_universal) {
+      if (filter->Eval(cache, u)) survivors.push_back(u);
+    }
+    const DataCube fresh = cube_of(agg, survivors);
+    for (Tuple& coord : dirty) {
+      const double value = fresh.CellValue(coord);
+      entry_patch.value_updates.emplace_back(std::move(coord), value);
+    }
+    patch.cells_recomputed += static_cast<int64_t>(dirty.size());
   }
   span.set_arg(patch.cells_patched);
   return patch;

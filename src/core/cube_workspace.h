@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +20,12 @@ namespace xplain {
 /// collides. Thread-safety: safe (pure).
 std::string CanonicalCubeKey(const Database& db, const AggregateQuery& query,
                              const std::vector<ColumnRef>& attributes);
+
+/// The columns cubes of `queries` over `attributes` read: the attributes,
+/// the aggregated and the filter columns, each once, in first-use order.
+/// Thread-safety: safe (pure).
+std::vector<ColumnRef> CubeColumns(const std::vector<ColumnRef>& attributes,
+                                   std::span<const AggregateQuery> queries);
 
 /// Counters snapshot of one CubeWorkspace (see GetStats).
 /// Thread-safety: plain data, externally synchronized.
@@ -121,10 +128,11 @@ class CubeWorkspace {
 
   /// Computes the maintenance patch for a delta described by `remap`,
   /// evaluated against `old_universal` (the pre-delta state the retained
-  /// entries currently reflect). Read-only; call between BeginDelta and
-  /// CommitDelta, with the owner's read lock held.
+  /// entries currently reflect), from kernel cubes over each entry's
+  /// removed and surviving rows (DESIGN.md §10). Changes no entry; call
+  /// between BeginDelta and CommitDelta, with the owner's read lock held.
   Patch PlanDelta(const UniversalRelation& old_universal,
-                  const UniversalRemap& remap) const;
+                  const UniversalRemap& remap);
 
   /// Applies `patch` and replaces every held column with its remap onto
   /// the surviving rows (views made earlier keep the old arrays), then

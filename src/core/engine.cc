@@ -27,6 +27,24 @@ int ClampThreads(int requested) {
   return requested <= 0 ? cores : std::min(requested, cores);
 }
 
+/// Cube cells and u_j are doubles, so SUM/MIN/MAX/AVG subqueries need a
+/// numeric column. ParseAggregate lets MIN/MAX over any column through (a
+/// plain aggregate query prints the Value); explanations reject it here.
+Status CheckNumericSubqueries(const Database& db,
+                              const NumericalQuery& query) {
+  for (const AggregateQuery& q : query.subqueries()) {
+    if (q.agg.kind == AggregateKind::kCountStar ||
+        q.agg.kind == AggregateKind::kCountDistinct ||
+        IsNumeric(db.ColumnType(q.agg.column))) {
+      continue;
+    }
+    return Status::InvalidArgument("subquery " + q.name + ": " +
+                                   q.agg.ToString(db) +
+                                   " needs a numeric column");
+  }
+  return Status::OK();
+}
+
 double DeltaOf(const std::map<std::string, double>& deltas,
                const std::string& name) {
   auto it = deltas.find(name);
@@ -178,6 +196,7 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options) const {
   XPLAIN_TRACE_SPAN("engine.explain_partial");
+  XPLAIN_RETURN_IF_ERROR(CheckNumericSubqueries(*db_, question.query));
   if (!options.use_cube) {
     return Status::InvalidArgument(
         "partial EXPLAIN requires the cube path (the naive table carries no "
@@ -208,6 +227,7 @@ Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const std::vector<Tuple>& cells, int num_threads) const {
   XPLAIN_TRACE_SPAN("engine.rescore_cells");
+  XPLAIN_RETURN_IF_ERROR(CheckNumericSubqueries(*db_, question.query));
   for (const Tuple& cell : cells) {
     if (cell.size() != attributes.size()) {
       return Status::InvalidArgument(
@@ -240,6 +260,7 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options) const {
   XPLAIN_TRACE_SPAN("engine.explain");
+  XPLAIN_RETURN_IF_ERROR(CheckNumericSubqueries(*db_, question.query));
   const int64_t explain_start_us = Trace::NowMicros();
   std::vector<std::pair<std::string, double>> counters_before;
   if (options.collect_stats) {

@@ -68,35 +68,6 @@ void AggregateAccumulator::Add(const Value& value) {
   }
 }
 
-void AggregateAccumulator::Merge(const AggregateAccumulator& other) {
-  XPLAIN_CHECK(kind_ == other.kind_);
-  switch (kind_) {
-    case AggregateKind::kCountStar:
-      count_ += other.count_;
-      return;
-    case AggregateKind::kCountDistinct:
-      distinct_.insert(other.distinct_.begin(), other.distinct_.end());
-      return;
-    case AggregateKind::kSum:
-    case AggregateKind::kAvg:
-      sum_ += other.sum_;
-      count_ += other.count_;
-      return;
-    case AggregateKind::kMin:
-      if (!other.min_.is_null() &&
-          (min_.is_null() || other.min_.Compare(min_) < 0)) {
-        min_ = other.min_;
-      }
-      return;
-    case AggregateKind::kMax:
-      if (!other.max_.is_null() &&
-          (max_.is_null() || other.max_.Compare(max_) > 0)) {
-        max_ = other.max_;
-      }
-      return;
-  }
-}
-
 Value AggregateAccumulator::Finish() const {
   switch (kind_) {
     case AggregateKind::kCountStar:
@@ -114,12 +85,6 @@ Value AggregateAccumulator::Finish() const {
       return max_;
   }
   return Value::Null();
-}
-
-double AggregateAccumulator::FinishNumeric() const {
-  Value v = Finish();
-  if (v.is_null()) return 0.0;
-  return v.AsNumeric();
 }
 
 Value EvaluateAggregate(const UniversalRelation& universal,

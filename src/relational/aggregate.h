@@ -45,26 +45,19 @@ struct AggregateSpec {
   std::string ToString(const Database& db) const;
 };
 
-/// Mergeable running state of one aggregate. Supports the cube's two-phase
-/// (base cells, then lattice rollup) evaluation.
-/// Thread-safety: unsafe — one accumulator per thread, merge after.
+/// Running state of one aggregate over a scan of rows (EvaluateAggregate).
+/// The cube kernel keeps its own per-cell state over dictionary codes.
+/// Thread-safety: unsafe — one accumulator per thread.
 class AggregateAccumulator {
  public:
   explicit AggregateAccumulator(AggregateKind kind) : kind_(kind) {}
 
   /// Folds in one input row's column value (ignored for COUNT(*)).
   void Add(const Value& value);
-  /// Folds in another accumulator of the same kind.
-  void Merge(const AggregateAccumulator& other);
-
-  AggregateKind kind() const { return kind_; }
 
   /// Final aggregate value; NULL for empty MIN/MAX/AVG/SUM groups,
   /// 0 for empty counts.
   Value Finish() const;
-
-  /// Finish() widened to double; empty groups yield 0.0.
-  double FinishNumeric() const;
 
  private:
   AggregateKind kind_;

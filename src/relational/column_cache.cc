@@ -98,23 +98,13 @@ Result<CodedFilter> CodedFilter::Compile(const ColumnCache& cache,
   return out;
 }
 
-RowSet CodedFilter::EvalAllRows(const ColumnCache& cache) const {
-  RowSet rows(cache.NumRows());
+std::vector<uint32_t> CodedFilter::MatchingRows(
+    const ColumnCache& cache) const {
+  std::vector<uint32_t> rows;
   for (size_t u = 0; u < cache.NumRows(); ++u) {
-    if (Eval(cache, u)) rows.Set(u);
+    if (Eval(cache, u)) rows.push_back(static_cast<uint32_t>(u));
   }
   return rows;
-}
-
-RowSet EvaluateFilterBitmap(const UniversalRelation& universal,
-                            const DnfPredicate* filter) {
-  RowSet pass(universal.NumRows());
-  for (size_t u = 0; u < universal.NumRows(); ++u) {
-    if (filter == nullptr || filter->EvalUniversal(universal, u)) {
-      pass.Set(u);
-    }
-  }
-  return pass;
 }
 
 }  // namespace xplain

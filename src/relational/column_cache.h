@@ -36,12 +36,8 @@ struct EncodedColumn {
 
 /// A columnar view over selected universal-relation columns, each one an
 /// EncodedColumn shared with its owner (a CubeWorkspace holds each column
-/// once and hands out views; Build encodes private columns).
-///
-/// The row-at-a-time cube evaluation hashes Tuples of Values per input row;
-/// for the multi-cube Algorithm 1 this dominates the runtime. Over a view,
-/// group-by keys are cheap integer vectors. (The same columnar trick backs
-/// the ablation benchmark bench_ablation_cube.)
+/// once and hands out views; Build encodes private columns). The cube
+/// kernel groups on these dictionary codes instead of Value tuples.
 ///
 /// Thread-safety: immutable; concurrent const access is safe.
 class ColumnCache {
@@ -85,11 +81,6 @@ class ColumnCache {
   std::vector<const uint32_t*> codes_;  // columns_[c]->codes.data()
 };
 
-/// Pre-evaluates a filter over all universal rows into a bitmap (rows
-/// passing the predicate). nullptr filter means all rows pass.
-RowSet EvaluateFilterBitmap(const UniversalRelation& universal,
-                            const DnfPredicate* filter);
-
 /// A DNF predicate compiled against a ColumnCache: every atom becomes a
 /// per-dictionary-code match table, so row evaluation is a handful of
 /// array lookups instead of Value comparisons. Requires every atom's
@@ -114,8 +105,8 @@ class CodedFilter {
     return false;
   }
 
-  /// Evaluates over all cached rows into a bitmap.
-  RowSet EvalAllRows(const ColumnCache& cache) const;
+  /// The cached rows passing the filter, ascending.
+  std::vector<uint32_t> MatchingRows(const ColumnCache& cache) const;
 
  private:
   struct CodedAtom {

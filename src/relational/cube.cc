@@ -1,16 +1,328 @@
 #include "relational/cube.h"
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
+#include <unordered_set>
 
 #include "util/metrics.h"
 #include "util/trace.h"
 
 namespace xplain {
 
+namespace {
+
+constexpr uint32_t kNoCode = 0xffffffffu;
+
+/// The code of the NULL in column `col`'s dictionary, or kNoCode (a
+/// dictionary holds each value once).
+uint32_t NullCode(const ColumnCache& cache, int col) {
+  for (uint32_t code = 0; code < cache.DictionarySize(col); ++code) {
+    if (cache.Decode(col, code).is_null()) return code;
+  }
+  return kNoCode;
+}
+
+/// The aggregated column as the kernel reads it: per row a dictionary
+/// code, and for SUM/MIN/MAX/AVG each code's value as a double. `column`
+/// is -1 for COUNT(*).
+struct ValueCodes {
+  const ColumnCache* cache = nullptr;
+  int column = -1;
+  uint32_t null_code = kNoCode;
+  std::vector<double> numeric;
+
+  uint32_t Code(uint32_t row) const { return cache->Code(row, column); }
+};
+
+Result<ValueCodes> ReadValueCodes(const ColumnCache& cache,
+                                  const AggregateSpec& agg) {
+  ValueCodes values;
+  values.cache = &cache;
+  if (agg.kind == AggregateKind::kCountStar) return values;
+  values.column = cache.FindColumn(agg.column);
+  if (values.column < 0) {
+    return Status::InvalidArgument("aggregated column is not in the cache");
+  }
+  values.null_code = NullCode(cache, values.column);
+  if (agg.kind == AggregateKind::kCountDistinct) return values;
+  values.numeric.resize(cache.DictionarySize(values.column), 0.0);
+  for (uint32_t code = 0; code < values.numeric.size(); ++code) {
+    const Value& v = cache.Decode(values.column, code);
+    if (v.is_null()) continue;
+    if (!IsNumeric(v.type())) {
+      return Status::InvalidArgument(
+          std::string(AggregateKindToString(agg.kind)) +
+          " needs a numeric column, got " + DataTypeToString(v.type()));
+    }
+    values.numeric[code] = v.AsNumeric();
+  }
+  return values;
+}
+
+/// Per-cell running state of aggregate kind K: Add folds in one input
+/// row, Merge another cell; Finish gives what EvaluateAggregate gives for
+/// the same rows, as a double (0.0 for an empty group).
+template <AggregateKind K>
+struct Cell {
+  int64_t count = 0;  // rows for COUNT(*), else non-NULL values folded
+  double acc = 0.0;   // SUM/AVG: the sum; MIN/MAX: the extremum
+
+  void Add(const ValueCodes& values, uint32_t row) {
+    if constexpr (K == AggregateKind::kCountStar) {
+      ++count;
+    } else {
+      const uint32_t code = values.Code(row);
+      if (code != values.null_code) Fold(1, values.numeric[code]);
+    }
+  }
+  void Merge(const Cell& other) {
+    if (other.count > 0) Fold(other.count, other.acc);
+  }
+  void Fold(int64_t n, double x) {
+    if constexpr (K == AggregateKind::kMin) {
+      if (count == 0 || x < acc) acc = x;
+    } else if constexpr (K == AggregateKind::kMax) {
+      if (count == 0 || x > acc) acc = x;
+    } else {
+      acc += x;
+    }
+    count += n;
+  }
+  double Finish() const {
+    if constexpr (K == AggregateKind::kCountStar) {
+      return static_cast<double>(count);
+    } else if constexpr (K == AggregateKind::kAvg) {
+      return count == 0 ? 0.0 : acc / static_cast<double>(count);
+    } else {
+      return acc;
+    }
+  }
+};
+
+/// COUNT(DISTINCT) keeps the set of non-NULL value codes, so its roll-up
+/// is an exact union, not a sum.
+template <>
+struct Cell<AggregateKind::kCountDistinct> {
+  std::unordered_set<uint32_t> codes;
+
+  void Add(const ValueCodes& values, uint32_t row) {
+    const uint32_t code = values.Code(row);
+    if (code != values.null_code) codes.insert(code);
+  }
+  void Merge(const Cell& other) {
+    codes.insert(other.codes.begin(), other.codes.end());
+  }
+  double Finish() const { return static_cast<double>(codes.size()); }
+};
+
+/// Bits a key field needs for codes 0..dict_size, the last meaning ALL.
+int FieldWidth(size_t dict_size) {
+  int bits = 1;
+  while ((uint64_t{1} << bits) < dict_size + 1) ++bits;
+  return bits;
+}
+
+/// Cube keys over the grouping columns' dictionary codes, one field per
+/// attribute: packed into a uint64_t when the fields fit in 64 bits, else
+/// one 32-bit char per code in a std::u32string (which std::hash takes).
+/// Field value all_[i], attribute i's dictionary size and never a real
+/// code, marks ALL after the roll-up.
+template <typename Key>
+class CubeKeys {
+ public:
+  static constexpr bool kPacked = std::is_same_v<Key, uint64_t>;
+
+  CubeKeys(const ColumnCache& cache, const std::vector<int>& columns)
+      : cache_(&cache), columns_(columns) {
+    int shift = 0;
+    for (int col : columns_) {
+      all_.push_back(static_cast<uint32_t>(cache.DictionarySize(col)));
+      null_.push_back(NullCode(cache, col));
+      shifts_.push_back(shift);
+      fields_.push_back((uint64_t{1} << FieldWidth(all_.back())) - 1);
+      shift += FieldWidth(all_.back());
+    }
+    if constexpr (kPacked) {
+      // Per roll-up mask: the bits of the fields it keeps, and ALL in the
+      // others.
+      keep_.assign(size_t{1} << d(), 0);
+      rolled_all_.assign(size_t{1} << d(), 0);
+      for (size_t mask = 0; mask < keep_.size(); ++mask) {
+        for (int i = 0; i < d(); ++i) {
+          if (mask & (size_t{1} << i)) {
+            keep_[mask] |= fields_[i] << shifts_[i];
+          } else {
+            rolled_all_[mask] |= static_cast<uint64_t>(all_[i]) << shifts_[i];
+          }
+        }
+      }
+    }
+  }
+
+  /// True when `columns`' fields pack into 64 bits.
+  static bool Fits(const ColumnCache& cache, const std::vector<int>& columns) {
+    int bits = 0;
+    for (int col : columns) bits += FieldWidth(cache.DictionarySize(col));
+    return bits <= 64;
+  }
+
+  int d() const { return static_cast<int>(columns_.size()); }
+
+  /// The base-cell key of universal row `row`.
+  Key Make(uint32_t row) const {
+    Key key{};
+    if constexpr (!kPacked) key.resize(columns_.size());
+    for (int i = 0; i < d(); ++i) {
+      const uint32_t code = cache_->Code(row, columns_[i]);
+      if constexpr (kPacked) {
+        key |= static_cast<uint64_t>(code) << shifts_[i];
+      } else {
+        key[i] = static_cast<char32_t>(code);
+      }
+    }
+    return key;
+  }
+
+  /// `key` with every attribute whose bit is clear in `mask` set to ALL.
+  Key Roll(Key key, uint32_t mask) const {
+    if constexpr (kPacked) {
+      return (key & keep_[mask]) | rolled_all_[mask];
+    } else {
+      for (int i = 0; i < d(); ++i) {
+        if (!(mask & (1u << i))) key[i] = static_cast<char32_t>(all_[i]);
+      }
+      return key;
+    }
+  }
+
+  /// True if a base cell groups a data NULL in some attribute.
+  bool HasNull(const Key& key) const {
+    for (int i = 0; i < d(); ++i) {
+      if (Get(key, i) == null_[i]) return true;
+    }
+    return false;
+  }
+
+  /// The cell coordinate of `key`; ALL decodes to NULL.
+  Tuple Decode(const Key& key) const {
+    Tuple coords(columns_.size());
+    for (int i = 0; i < d(); ++i) {
+      const uint32_t code = Get(key, i);
+      if (code != all_[i]) coords[i] = cache_->Decode(columns_[i], code);
+    }
+    return coords;
+  }
+
+ private:
+  uint32_t Get(const Key& key, int i) const {
+    if constexpr (kPacked) {
+      return static_cast<uint32_t>((key >> shifts_[i]) & fields_[i]);
+    } else {
+      return static_cast<uint32_t>(key[i]);
+    }
+  }
+
+  const ColumnCache* cache_;
+  std::vector<int> columns_;
+  std::vector<uint32_t> all_;
+  std::vector<uint32_t> null_;
+  std::vector<int> shifts_;
+  std::vector<uint64_t> fields_;
+  std::vector<uint64_t> keep_;
+  std::vector<uint64_t> rolled_all_;
+};
+
+/// The kernel body, one instance per (aggregate kind, key type). Phase 1
+/// groups `rows` in contiguous per-shard ranges into thread-local maps,
+/// merged in shard order; phase 2 shards the lattice by mask, so shards
+/// emit disjoint cells (a mask fixes which fields hold ALL).
+template <AggregateKind K, typename Key>
+Result<DataCube::CellMap> GroupAndRollUp(const CubeKeys<Key>& keys,
+                                         const ValueCodes& values,
+                                         const std::vector<uint32_t>& rows,
+                                         ThreadPool* pool) {
+  using Map = std::unordered_map<Key, Cell<K>>;
+  const size_t shards = static_cast<size_t>(
+      pool == nullptr ? 1 : std::max(pool->num_threads(), 1));
+  std::vector<Map> base_locals(shards);
+  XPLAIN_RETURN_IF_ERROR(ParallelShards(
+      pool, rows.size(), [&](int shard, size_t begin, size_t end) {
+        XPLAIN_TRACE_SPAN("cube.base_shard");
+        Map& local = base_locals[static_cast<size_t>(shard)];
+        for (size_t r = begin; r < end; ++r) {
+          local[keys.Make(rows[r])].Add(values, rows[r]);
+        }
+        return Status::OK();
+      }));
+  Map base = std::move(base_locals[0]);
+  for (size_t s = 1; s < shards; ++s) {
+    for (auto& [key, cell] : base_locals[s]) {
+      auto [it, inserted] = base.try_emplace(key, std::move(cell));
+      if (!inserted) it->second.Merge(cell);
+    }
+  }
+  XPLAIN_COUNTER_ADD("cube.base_cells", static_cast<int64_t>(base.size()));
+  // A data NULL would be indistinguishable from the lattice's don't-care
+  // marker (SQL's GROUPING() ambiguity); the paper's candidate attributes
+  // are recoded non-NULL categories. Only rows that take part count.
+  for (const auto& [key, cell] : base) {
+    if (keys.HasNull(key)) {
+      return Status::InvalidArgument(
+          "cube attribute contains NULL; recode NULLs before cubing");
+    }
+  }
+
+  std::vector<Map> rolled_locals(shards);
+  XPLAIN_RETURN_IF_ERROR(ParallelShards(
+      pool, size_t{1} << keys.d(),
+      [&](int shard, size_t mask_begin, size_t mask_end) {
+        XPLAIN_TRACE_SPAN("cube.rollup_shard");
+        Map& rolled = rolled_locals[static_cast<size_t>(shard)];
+        rolled.reserve(base.size());
+        for (const auto& [key, cell] : base) {
+          for (size_t mask = mask_begin; mask < mask_end; ++mask) {
+            rolled[keys.Roll(key, static_cast<uint32_t>(mask))].Merge(cell);
+          }
+        }
+        return Status::OK();
+      }));
+  size_t total_cells = 0;
+  for (const Map& rolled : rolled_locals) total_cells += rolled.size();
+  DataCube::CellMap cells;
+  cells.reserve(total_cells);
+  for (const Map& rolled : rolled_locals) {
+    for (const auto& [key, cell] : rolled) {
+      cells.emplace(keys.Decode(key), cell.Finish());
+    }
+  }
+  XPLAIN_COUNTER_ADD("cube.cells", static_cast<int64_t>(total_cells));
+  return cells;
+}
+
+}  // namespace
+
 Result<DataCube> DataCube::Compute(const UniversalRelation& universal,
                                    const std::vector<ColumnRef>& attributes,
                                    const AggregateSpec& agg,
                                    const DnfPredicate* filter,
+                                   const CubeOptions& options) {
+  std::vector<ColumnRef> columns = attributes;
+  if (agg.kind != AggregateKind::kCountStar) columns.push_back(agg.column);
+  std::vector<uint32_t> rows;
+  for (size_t u = 0; u < universal.NumRows(); ++u) {
+    if (filter == nullptr || filter->EvalUniversal(universal, u)) {
+      rows.push_back(static_cast<uint32_t>(u));
+    }
+  }
+  return Compute(ColumnCache::Build(universal, columns), attributes, agg,
+                 rows, options);
+}
+
+Result<DataCube> DataCube::Compute(const ColumnCache& cache,
+                                   const std::vector<ColumnRef>& attributes,
+                                   const AggregateSpec& agg,
+                                   const std::vector<uint32_t>& rows,
                                    const CubeOptions& options) {
   XPLAIN_TRACE_SPAN("cube.compute");
   const int d = static_cast<int>(attributes.size());
@@ -22,347 +334,40 @@ Result<DataCube> DataCube::Compute(const UniversalRelation& universal,
         "cube over " + std::to_string(d) + " attributes exceeds the cap of " +
         std::to_string(options.max_attributes));
   }
-
-  // Phase 1: full group-by into base cells. With a pool, the input rows
-  // are partitioned into contiguous per-shard ranges aggregated into
-  // thread-local maps; the merge is exact because every accumulator kind
-  // is mergeable (count/sum add, min/max compare, distinct sets union) —
-  // the same cell-additivity that justifies the cube degrees in §4.
-  const bool needs_column = agg.kind != AggregateKind::kCountStar;
-  using BaseMap =
-      std::unordered_map<Tuple, AggregateAccumulator, TupleHash, TupleEq>;
-  const size_t n = universal.NumRows();
-  ThreadPool* pool = options.pool;
-  const int shards = pool == nullptr ? 1 : std::max(pool->num_threads(), 1);
-  std::vector<BaseMap> base_locals(static_cast<size_t>(shards));
-  XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      pool, n, [&](int shard, size_t begin, size_t end) -> Status {
-        XPLAIN_TRACE_SPAN("cube.base_shard");
-        BaseMap& local = base_locals[static_cast<size_t>(shard)];
-        Tuple coords(d);
-        for (size_t u = begin; u < end; ++u) {
-          if (filter != nullptr && !filter->EvalUniversal(universal, u)) {
-            continue;
-          }
-          for (int i = 0; i < d; ++i) {
-            coords[i] = universal.ValueAt(u, attributes[i]);
-            if (coords[i].is_null()) {
-              // A data NULL would be indistinguishable from the lattice's
-              // don't-care marker (SQL's GROUPING() ambiguity); the paper's
-              // candidate attributes are recoded non-NULL categories.
-              return Status::InvalidArgument(
-                  "cube attribute " +
-                  universal.db().ColumnName(attributes[i]) +
-                  " contains NULL; recode NULLs before cubing");
-            }
-          }
-          auto it = local.find(coords);
-          if (it == local.end()) {
-            it = local.emplace(coords, AggregateAccumulator(agg.kind)).first;
-          }
-          it->second.Add(needs_column ? universal.ValueAt(u, agg.column)
-                                      : Value::Null());
-        }
-        return Status::OK();
-      }));
-  // Merge in shard order so the combined map is reproducible for a fixed
-  // thread count.
-  TraceSpan base_merge_span("cube.base_merge");
-  BaseMap base = std::move(base_locals[0]);
-  for (size_t s = 1; s < base_locals.size(); ++s) {
-    for (auto& [coords, acc] : base_locals[s]) {
-      auto it = base.find(coords);
-      if (it == base.end()) {
-        base.emplace(std::move(coords), std::move(acc));
-      } else {
-        it->second.Merge(acc);
-      }
+  std::vector<int> columns;
+  for (const ColumnRef& attr : attributes) {
+    columns.push_back(cache.FindColumn(attr));
+    if (columns.back() < 0) {
+      return Status::InvalidArgument("cube attribute is not in the cache");
     }
   }
-  base_merge_span.set_arg(static_cast<int64_t>(base.size()));
-  base_merge_span.End();
-  XPLAIN_COUNTER_ADD("cube.base_cells", static_cast<int64_t>(base.size()));
-
-  // Phase 2: roll every base cell up through the 2^d lattice. Sharding is
-  // by mask: two distinct masks null out different attribute subsets, so
-  // the cells they produce can never collide and each shard owns a
-  // disjoint slice of the output lattice (no merge needed).
-  const uint32_t num_masks = 1u << d;
-  using RolledMap = BaseMap;
-  std::vector<RolledMap> rolled_locals(static_cast<size_t>(shards));
-  XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      pool, num_masks, [&](int shard, size_t mask_begin, size_t mask_end) {
-        XPLAIN_TRACE_SPAN("cube.rollup_shard");
-        RolledMap& rolled = rolled_locals[static_cast<size_t>(shard)];
-        rolled.reserve(base.size());
-        for (const auto& [full_coords, acc] : base) {
-          for (size_t mask = mask_begin; mask < mask_end; ++mask) {
-            Tuple cell(d);
-            for (int i = 0; i < d; ++i) {
-              cell[i] =
-                  (mask & (1u << i)) ? full_coords[i] : Value::Null();
-            }
-            auto it = rolled.find(cell);
-            if (it == rolled.end()) {
-              it = rolled
-                       .emplace(std::move(cell),
-                                AggregateAccumulator(agg.kind))
-                       .first;
-            }
-            it->second.Merge(acc);
-          }
-        }
-        return Status::OK();
-      }));
-
+  XPLAIN_ASSIGN_OR_RETURN(ValueCodes values, ReadValueCodes(cache, agg));
+  // The aggregate kind and the key type are picked once per call.
+  auto run = [&](const auto& keys) -> Result<CellMap> {
+    using enum AggregateKind;
+    switch (agg.kind) {
+      case kCountStar:
+        return GroupAndRollUp<kCountStar>(keys, values, rows, options.pool);
+      case kCountDistinct:
+        return GroupAndRollUp<kCountDistinct>(keys, values, rows, options.pool);
+      case kSum:
+        return GroupAndRollUp<kSum>(keys, values, rows, options.pool);
+      case kAvg:
+        return GroupAndRollUp<kAvg>(keys, values, rows, options.pool);
+      case kMin:
+        return GroupAndRollUp<kMin>(keys, values, rows, options.pool);
+      case kMax:
+        return GroupAndRollUp<kMax>(keys, values, rows, options.pool);
+    }
+    return Status::InvalidArgument("unknown aggregate kind");
+  };
   DataCube cube;
   cube.attributes_ = attributes;
-  size_t total_cells = 0;
-  for (const RolledMap& rolled : rolled_locals) total_cells += rolled.size();
-  cube.cells_.reserve(total_cells);
-  for (const RolledMap& rolled : rolled_locals) {
-    for (const auto& [cell, acc] : rolled) {
-      cube.cells_.emplace(cell, acc.FinishNumeric());
-    }
-  }
-  XPLAIN_COUNTER_ADD("cube.cells", static_cast<int64_t>(total_cells));
-  return cube;
-}
-
-namespace {
-
-struct CodeVecHash {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    size_t seed = v.size();
-    for (uint32_t c : v) {
-      seed ^= c + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-    }
-    return seed;
-  }
-};
-
-/// Count / count-distinct accumulator over dictionary codes.
-struct FastAccumulator {
-  int64_t count = 0;
-  std::unordered_set<uint32_t> distinct;
-
-  void Merge(const FastAccumulator& other) {
-    count += other.count;
-    distinct.insert(other.distinct.begin(), other.distinct.end());
-  }
-};
-
-}  // namespace
-
-Result<DataCube> DataCube::ComputeCached(const ColumnCache& cache,
-                                         const std::vector<int>& attr_indices,
-                                         AggregateKind kind,
-                                         int distinct_index,
-                                         const RowSet* filter_rows,
-                                         const CubeOptions& options) {
-  XPLAIN_TRACE_SPAN("cube.compute_cached");
-  const int d = static_cast<int>(attr_indices.size());
-  if (d == 0) {
-    return Status::InvalidArgument("cube needs at least one attribute");
-  }
-  if (d > options.max_attributes) {
-    return Status::InvalidArgument("cube attribute cap exceeded");
-  }
-  const bool is_distinct = kind == AggregateKind::kCountDistinct;
-  if (kind != AggregateKind::kCountStar && !is_distinct) {
-    return Status::InvalidArgument(
-        "ComputeCached supports count(*) and count(distinct) only");
-  }
-  if (is_distinct &&
-      (distinct_index < 0 || distinct_index >= cache.num_columns())) {
-    return Status::InvalidArgument("counted column is not in the cache");
-  }
-  for (int idx : attr_indices) {
-    if (idx < 0 || idx >= cache.num_columns()) {
-      return Status::InvalidArgument("grouping column is not in the cache");
-    }
-  }
-
-  // Per-attribute bit widths; code dict_size is reserved as the "ALL"
-  // marker for the rollup, so widths cover dict_size + 1 values. When the
-  // packed key fits in 64 bits the group-by runs allocation-free on uint64
-  // keys; otherwise fall back to code vectors.
-  for (int i = 0; i < d; ++i) {
-    for (size_t code = 0; code < cache.DictionarySize(attr_indices[i]);
-         ++code) {
-      if (cache.Decode(attr_indices[i], static_cast<uint32_t>(code))
-              .is_null()) {
-        return Status::InvalidArgument(
-            "cube attribute contains NULL; recode NULLs before cubing");
-      }
-    }
-  }
-  std::vector<int> shifts(d, 0);
-  int total_bits = 0;
-  std::vector<uint32_t> all_codes(d);
-  for (int i = 0; i < d; ++i) {
-    uint64_t distinct_plus_all = cache.DictionarySize(attr_indices[i]) + 1;
-    int bits = 1;
-    while ((uint64_t{1} << bits) < distinct_plus_all) ++bits;
-    shifts[i] = total_bits;
-    total_bits += bits;
-    all_codes[i] =
-        static_cast<uint32_t>(cache.DictionarySize(attr_indices[i]));
-  }
-  const size_t n = cache.NumRows();
-  const uint32_t num_masks = 1u << d;
-
-  DataCube cube;
-  cube.attributes_.reserve(d);
-  for (int idx : attr_indices) {
-    cube.attributes_.push_back(cache.column(idx));
-  }
-
-  auto add_input = [&](FastAccumulator* acc, size_t u) {
-    if (is_distinct) {
-      uint32_t code = cache.Code(u, distinct_index);
-      if (!cache.Decode(distinct_index, code).is_null()) {
-        acc->distinct.insert(code);
-      }
-    } else {
-      ++acc->count;
-    }
-  };
-  auto finish = [&](const FastAccumulator& acc) {
-    return is_distinct ? static_cast<double>(acc.distinct.size())
-                       : static_cast<double>(acc.count);
-  };
-
-  if (total_bits <= 64) {
-    // Fast path: packed uint64 keys. Parallel scheme mirrors Compute():
-    // phase 1 shards the row scan into thread-local maps (merge is exact —
-    // counts add, distinct code sets union), phase 2 shards the rollup by
-    // mask, which yields disjoint output cells because the reserved ALL
-    // code marks exactly the masked-out attribute fields.
-    ThreadPool* pool = options.pool;
-    const int shards =
-        pool == nullptr ? 1 : std::max(pool->num_threads(), 1);
-    using BaseMap = std::unordered_map<uint64_t, FastAccumulator>;
-    std::vector<BaseMap> base_locals(static_cast<size_t>(shards));
-    XPLAIN_RETURN_IF_ERROR(ParallelShards(
-        pool, n, [&](int shard, size_t begin, size_t end) {
-          XPLAIN_TRACE_SPAN("cube.cached_base_shard");
-          BaseMap& local = base_locals[static_cast<size_t>(shard)];
-          for (size_t u = begin; u < end; ++u) {
-            if (filter_rows != nullptr && !filter_rows->Test(u)) continue;
-            uint64_t key = 0;
-            for (int i = 0; i < d; ++i) {
-              key |= static_cast<uint64_t>(cache.Code(u, attr_indices[i]))
-                     << shifts[i];
-            }
-            add_input(&local[key], u);
-          }
-          return Status::OK();
-        }));
-    TraceSpan cached_merge_span("cube.cached_base_merge");
-    BaseMap base = std::move(base_locals[0]);
-    for (size_t s = 1; s < base_locals.size(); ++s) {
-      for (const auto& [key, acc] : base_locals[s]) base[key].Merge(acc);
-    }
-    cached_merge_span.set_arg(static_cast<int64_t>(base.size()));
-    cached_merge_span.End();
-    XPLAIN_COUNTER_ADD("cube.cached_base_cells",
-                       static_cast<int64_t>(base.size()));
-
-    // Precompute, per mask, the bits to clear and the ALL pattern to set.
-    std::vector<uint64_t> clear_bits(num_masks, 0), set_all(num_masks, 0);
-    for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      for (int i = 0; i < d; ++i) {
-        if (!(mask & (1u << i))) {
-          uint64_t next_shift =
-              (i + 1 < d) ? static_cast<uint64_t>(shifts[i + 1]) : 64;
-          uint64_t field = next_shift >= 64
-                               ? ~uint64_t{0} << shifts[i]
-                               : ((uint64_t{1} << next_shift) - 1) ^
-                                     ((uint64_t{1} << shifts[i]) - 1);
-          clear_bits[mask] |= field;
-          set_all[mask] |= static_cast<uint64_t>(all_codes[i]) << shifts[i];
-        }
-      }
-    }
-    std::vector<BaseMap> rolled_locals(static_cast<size_t>(shards));
-    XPLAIN_RETURN_IF_ERROR(ParallelShards(
-        pool, num_masks, [&](int shard, size_t mask_begin, size_t mask_end) {
-          XPLAIN_TRACE_SPAN("cube.cached_rollup_shard");
-          BaseMap& rolled = rolled_locals[static_cast<size_t>(shard)];
-          rolled.reserve(base.size());
-          for (const auto& [full_key, acc] : base) {
-            for (size_t mask = mask_begin; mask < mask_end; ++mask) {
-              uint64_t cell =
-                  (full_key & ~clear_bits[mask]) | set_all[mask];
-              rolled[cell].Merge(acc);
-            }
-          }
-          return Status::OK();
-        }));
-    size_t total_cells = 0;
-    for (const BaseMap& rolled : rolled_locals) total_cells += rolled.size();
-    cube.cells_.reserve(total_cells);
-    for (const BaseMap& rolled : rolled_locals) {
-      for (const auto& [cell_key, acc] : rolled) {
-        Tuple cell(d);
-        for (int i = 0; i < d; ++i) {
-          uint64_t next_shift =
-              (i + 1 < d) ? static_cast<uint64_t>(shifts[i + 1]) : 64;
-          uint64_t width = next_shift - shifts[i];
-          uint64_t mask_bits =
-              width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-          uint32_t code =
-              static_cast<uint32_t>((cell_key >> shifts[i]) & mask_bits);
-          cell[i] = code == all_codes[i]
-                        ? Value::Null()
-                        : cache.Decode(attr_indices[i], code);
-        }
-        cube.cells_.emplace(std::move(cell), finish(acc));
-      }
-    }
-    XPLAIN_COUNTER_ADD("cube.cached_cells",
-                       static_cast<int64_t>(cube.cells_.size()));
-    return cube;
-  }
-
-  // General path: code-vector keys (> 64 bits of packed codes; only hit
-  // far beyond the paper's workloads). Kept sequential: the packed path
-  // above is the hot one, and a pool here would complicate the overflow
-  // fallback for no measured benefit.
-  std::unordered_map<std::vector<uint32_t>, FastAccumulator, CodeVecHash>
-      base;
-  std::vector<uint32_t> key(d);
-  for (size_t u = 0; u < n; ++u) {
-    if (filter_rows != nullptr && !filter_rows->Test(u)) continue;
-    for (int i = 0; i < d; ++i) {
-      key[i] = cache.Code(u, attr_indices[i]);
-    }
-    add_input(&base[key], u);
-  }
-  constexpr uint32_t kNoValue = 0xffffffffu;
-  std::unordered_map<std::vector<uint32_t>, FastAccumulator, CodeVecHash>
-      rolled;
-  rolled.reserve(base.size() * 2);
-  for (const auto& [full_key, acc] : base) {
-    for (uint32_t mask = 0; mask < num_masks; ++mask) {
-      std::vector<uint32_t> cell(d);
-      for (int i = 0; i < d; ++i) {
-        cell[i] = (mask & (1u << i)) ? full_key[i] : kNoValue;
-      }
-      rolled[std::move(cell)].Merge(acc);
-    }
-  }
-  cube.cells_.reserve(rolled.size());
-  for (const auto& [cell_codes, acc] : rolled) {
-    Tuple cell(d);
-    for (int i = 0; i < d; ++i) {
-      cell[i] = cell_codes[i] == kNoValue
-                    ? Value::Null()
-                    : cache.Decode(attr_indices[i], cell_codes[i]);
-    }
-    cube.cells_.emplace(std::move(cell), finish(acc));
-  }
+  XPLAIN_ASSIGN_OR_RETURN(
+      cube.cells_,
+      CubeKeys<uint64_t>::Fits(cache, columns)
+          ? run(CubeKeys<uint64_t>(cache, columns))
+          : run(CubeKeys<std::u32string>(cache, columns)));
   return cube;
 }
 

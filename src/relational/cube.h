@@ -18,11 +18,11 @@ struct CubeOptions {
   /// Hard cap on the number of cube attributes (2^d lattice).
   int max_attributes = 16;
   /// Non-owning worker pool for the sharded cube evaluation (DESIGN.md §6):
-  /// the input scan is split into per-thread row ranges aggregated into
+  /// the input rows are split into per-thread ranges aggregated into
   /// thread-local cell maps (merged exactly — cells are additive under any
   /// disjoint partition of the input rows), and the 2^d rollup lattice is
   /// partitioned by mask so shards emit disjoint cell sets. nullptr (the
-  /// default) runs the exact single-threaded legacy path.
+  /// default) runs single-threaded.
   ThreadPool* pool = nullptr;
 };
 
@@ -31,10 +31,11 @@ struct CubeOptions {
 ///
 /// A cell coordinate assigns each cube attribute either a concrete value or
 /// NULL meaning ALL ("don't care"). The all-NULL cell holds the grand total.
-/// Computation is two-phase: (1) group input rows into base cells keyed by
-/// the full attribute tuple; (2) roll every base cell up into all 2^d
-/// ancestor cells of the lattice. COUNT(DISTINCT) rolls up its value sets,
-/// so it is exact (not sum-based). Both phases shard across
+/// One kernel computes every cube, for all six aggregate kinds, over a
+/// ColumnCache's dictionary codes in two phases: (1) group the input rows
+/// into base cells keyed by the attributes' codes; (2) roll every base cell
+/// up into all 2^d ancestor cells of the lattice. COUNT(DISTINCT) rolls up
+/// its code sets, so it is exact (not sum-based). Both phases shard across
 /// CubeOptions::pool when one is supplied (see DESIGN.md §6 for the
 /// determinism guarantee).
 ///
@@ -43,22 +44,23 @@ struct CubeOptions {
 class DataCube {
  public:
   /// Computes the cube of `agg` over the rows of `universal` satisfying
-  /// `filter` (nullptr = all rows), grouped by `attributes`.
+  /// `filter` (nullptr = all rows), grouped by `attributes`: encodes the
+  /// columns privately and runs the kernel below.
   [[nodiscard]] static Result<DataCube> Compute(const UniversalRelation& universal,
                                   const std::vector<ColumnRef>& attributes,
                                   const AggregateSpec& agg,
                                   const DnfPredicate* filter,
                                   const CubeOptions& options = CubeOptions());
 
-  /// Columnar fast path over a ColumnCache: group-by keys are dictionary
-  /// codes instead of Value tuples and the filter is a precomputed bitmap.
-  /// Supports COUNT(*) and COUNT(DISTINCT col) where both the grouping
-  /// attributes and the counted column are cached; produces bit-identical
-  /// cells to Compute(). `attr_indices` are cache column positions;
-  /// `distinct_index` is the cached counted column (-1 for COUNT(*)).
-  [[nodiscard]] static Result<DataCube> ComputeCached(
-      const ColumnCache& cache, const std::vector<int>& attr_indices,
-      AggregateKind kind, int distinct_index, const RowSet* filter_rows,
+  /// The cube kernel: the cube of `agg` over the universal rows `rows`
+  /// (ascending positions in `cache`), grouped by `attributes`. `cache`
+  /// must hold every attribute and, unless `agg` is COUNT(*), the
+  /// aggregated column, which SUM/MIN/MAX/AVG need numeric. A grouping
+  /// value may be NULL only in rows outside `rows` (a NULL would read as
+  /// the lattice's ALL); otherwise the cube is kInvalidArgument.
+  [[nodiscard]] static Result<DataCube> Compute(
+      const ColumnCache& cache, const std::vector<ColumnRef>& attributes,
+      const AggregateSpec& agg, const std::vector<uint32_t>& rows,
       const CubeOptions& options = CubeOptions());
 
   /// Rewraps an existing cell map as a DataCube without recomputation —

@@ -16,7 +16,7 @@ TEST(AccumulatorTest, CountStar) {
   acc.Add(Value::Null());
   acc.Add(Value::Null());
   EXPECT_EQ(acc.Finish().AsInt(), 2);
-  EXPECT_DOUBLE_EQ(acc.FinishNumeric(), 2.0);
+  EXPECT_DOUBLE_EQ(acc.Finish().AsNumeric(), 2.0);
 }
 
 TEST(AccumulatorTest, CountDistinctIgnoresNullsAndDupes) {
@@ -51,30 +51,6 @@ TEST(AccumulatorTest, EmptyGroups) {
   EXPECT_TRUE(AggregateAccumulator(AggregateKind::kSum).Finish().is_null());
   EXPECT_TRUE(AggregateAccumulator(AggregateKind::kMin).Finish().is_null());
   EXPECT_TRUE(AggregateAccumulator(AggregateKind::kAvg).Finish().is_null());
-  EXPECT_DOUBLE_EQ(AggregateAccumulator(AggregateKind::kSum).FinishNumeric(),
-                   0.0);
-}
-
-TEST(AccumulatorTest, MergeMatchesSequential) {
-  AggregateAccumulator a(AggregateKind::kCountDistinct);
-  AggregateAccumulator b(AggregateKind::kCountDistinct);
-  a.Add(Value::Int(1));
-  a.Add(Value::Int(2));
-  b.Add(Value::Int(2));
-  b.Add(Value::Int(3));
-  a.Merge(b);
-  EXPECT_EQ(a.Finish().AsInt(), 3);
-
-  AggregateAccumulator s1(AggregateKind::kSum), s2(AggregateKind::kSum);
-  s1.Add(Value::Int(1));
-  s2.Add(Value::Int(2));
-  s1.Merge(s2);
-  EXPECT_DOUBLE_EQ(s1.Finish().AsDouble(), 3.0);
-
-  AggregateAccumulator m1(AggregateKind::kMax), m2(AggregateKind::kMax);
-  m2.Add(Value::Int(9));
-  m1.Merge(m2);
-  EXPECT_EQ(m1.Finish().AsInt(), 9);
 }
 
 TEST(EvaluateAggregateTest, CountStarOverUniversal) {

@@ -1,5 +1,7 @@
 #include "relational/column_cache.h"
 
+#include "core/cube_workspace.h"
+#include "core/naive.h"
 #include "gtest/gtest.h"
 #include "relational/cube.h"
 #include "relational/parser.h"
@@ -44,57 +46,89 @@ TEST_F(ColumnCacheTest, EncodingRoundTrips) {
   EXPECT_EQ(cache.FindColumn(pubid_), -1);
 }
 
-TEST_F(ColumnCacheTest, FilterBitmap) {
+TEST_F(ColumnCacheTest, CodedFilterMatchesRowPredicate) {
   DnfPredicate sigmod = Pred(db_, "Publication.venue = 'SIGMOD'");
-  RowSet rows = EvaluateFilterBitmap(*universal_, &sigmod);
-  EXPECT_EQ(rows.count(), 4u);
-  RowSet all = EvaluateFilterBitmap(*universal_, nullptr);
-  EXPECT_EQ(all.count(), universal_->NumRows());
-}
-
-TEST_F(ColumnCacheTest, CachedCountStarMatchesGeneric) {
-  DnfPredicate sigmod = Pred(db_, "Publication.venue = 'SIGMOD'");
-  DataCube generic = UnwrapOrDie(DataCube::Compute(
-      *universal_, {name_, year_}, AggregateSpec::CountStar(), &sigmod));
-  ColumnCache cache = ColumnCache::Build(*universal_, {name_, year_});
-  RowSet rows = EvaluateFilterBitmap(*universal_, &sigmod);
-  DataCube cached = UnwrapOrDie(DataCube::ComputeCached(
-      cache, {0, 1}, AggregateKind::kCountStar, -1, &rows));
-  ASSERT_EQ(cached.NumCells(), generic.NumCells());
-  for (const auto& [cell, value] : generic.cells()) {
-    EXPECT_DOUBLE_EQ(cached.CellValue(cell), value) << TupleToString(cell);
+  ColumnCache cache = ColumnCache::Build(
+      *universal_, {*db_.ResolveColumn("Publication.venue")});
+  CodedFilter filter = UnwrapOrDie(CodedFilter::Compile(cache, sigmod));
+  std::vector<uint32_t> expected;
+  for (size_t u = 0; u < universal_->NumRows(); ++u) {
+    if (sigmod.EvalUniversal(*universal_, u)) {
+      expected.push_back(static_cast<uint32_t>(u));
+    }
   }
-}
-
-TEST_F(ColumnCacheTest, CachedCountDistinctMatchesGeneric) {
-  DataCube generic = UnwrapOrDie(DataCube::Compute(
-      *universal_, {name_}, AggregateSpec::CountDistinct(pubid_), nullptr));
-  ColumnCache cache = ColumnCache::Build(*universal_, {name_, pubid_});
-  RowSet rows = EvaluateFilterBitmap(*universal_, nullptr);
-  DataCube cached = UnwrapOrDie(DataCube::ComputeCached(
-      cache, {0}, AggregateKind::kCountDistinct, 1, &rows));
-  ASSERT_EQ(cached.NumCells(), generic.NumCells());
-  for (const auto& [cell, value] : generic.cells()) {
-    EXPECT_DOUBLE_EQ(cached.CellValue(cell), value) << TupleToString(cell);
-  }
-}
-
-TEST_F(ColumnCacheTest, CachedRejectsBadArguments) {
-  ColumnCache cache = ColumnCache::Build(*universal_, {name_});
-  RowSet rows = EvaluateFilterBitmap(*universal_, nullptr);
-  EXPECT_FALSE(DataCube::ComputeCached(cache, {}, AggregateKind::kCountStar,
-                                       -1, &rows)
-                   .ok());
-  EXPECT_FALSE(DataCube::ComputeCached(cache, {5}, AggregateKind::kCountStar,
-                                       -1, &rows)
-                   .ok());
-  EXPECT_FALSE(DataCube::ComputeCached(cache, {0},
-                                       AggregateKind::kCountDistinct, 7,
-                                       &rows)
-                   .ok());
+  EXPECT_EQ(filter.MatchingRows(cache), expected);
+  EXPECT_EQ(expected.size(), 4u);
+  // A filter over a column outside the cache does not compile.
   EXPECT_FALSE(
-      DataCube::ComputeCached(cache, {0}, AggregateKind::kSum, -1, &rows)
+      CodedFilter::Compile(cache, Pred(db_, "Publication.year = 2001")).ok());
+}
+
+/// Checks the kernel's cube of `agg` over the rows passing `where` against
+/// the naive oracle's single-subquery table M: every nonzero cell agrees
+/// bit for bit and no nonzero cell is missing.
+void ExpectKernelMatchesNaive(const Database& db,
+                              const UniversalRelation& universal,
+                              const std::vector<ColumnRef>& attributes,
+                              const AggregateSpec& agg,
+                              const std::string& where) {
+  AggregateQuery q;
+  q.name = "q1";
+  q.agg = agg;
+  q.where = UnwrapOrDie(ParseDnfPredicate(db, where));
+  ColumnCache cache = ColumnCache::Build(
+      universal, CubeColumns(attributes, {&q, 1}));
+  CodedFilter filter = UnwrapOrDie(CodedFilter::Compile(cache, q.where));
+  DataCube cube = UnwrapOrDie(DataCube::Compute(
+      cache, attributes, agg, filter.MatchingRows(cache)));
+  UserQuestion question;
+  std::vector<AggregateQuery> subqueries = {q};
+  question.query = UnwrapOrDie(NumericalQuery::Create(
+      std::move(subqueries), UnwrapOrDie(ParseExpression("q1", {"q1"}))));
+  TableM naive =
+      UnwrapOrDie(ComputeTableMNaive(universal, question, attributes));
+  size_t nonzero = 0;
+  for (const auto& [cell, value] : cube.cells()) {
+    if (value == 0.0) continue;
+    ++nonzero;
+    const int64_t row = naive.FindRow(cell);
+    ASSERT_GE(row, 0) << TupleToString(cell);
+    EXPECT_EQ(value, naive.subquery_values[0][row]) << TupleToString(cell);
+  }
+  EXPECT_EQ(nonzero, naive.NumRows());
+}
+
+TEST_F(ColumnCacheTest, KernelCountStarMatchesNaive) {
+  ExpectKernelMatchesNaive(db_, *universal_, {name_, year_},
+                           AggregateSpec::CountStar(),
+                           "Publication.venue = 'SIGMOD'");
+}
+
+TEST_F(ColumnCacheTest, KernelCountDistinctMatchesNaive) {
+  ExpectKernelMatchesNaive(db_, *universal_, {name_},
+                           AggregateSpec::CountDistinct(pubid_), "");
+}
+
+TEST_F(ColumnCacheTest, KernelRejectsBadArguments) {
+  ColumnCache cache = ColumnCache::Build(*universal_, {name_, year_});
+  const std::vector<uint32_t> rows = {0, 1, 2};
+  // No attributes; an attribute or counted column outside the cache.
+  EXPECT_FALSE(
+      DataCube::Compute(cache, {}, AggregateSpec::CountStar(), rows).ok());
+  EXPECT_FALSE(
+      DataCube::Compute(cache, {pubid_}, AggregateSpec::CountStar(), rows)
           .ok());
+  EXPECT_FALSE(DataCube::Compute(cache, {name_},
+                                 AggregateSpec::CountDistinct(pubid_), rows)
+                   .ok());
+  // MIN over a string column has no numeric cell value.
+  auto min_name = DataCube::Compute(
+      cache, {year_}, AggregateSpec{AggregateKind::kMin, name_}, rows);
+  EXPECT_EQ(min_name.status().code(), StatusCode::kInvalidArgument);
+  // MAX over a numeric one is fine.
+  DataCube max_year = UnwrapOrDie(DataCube::Compute(
+      cache, {name_}, AggregateSpec{AggregateKind::kMax, year_}, rows));
+  EXPECT_GT(max_year.GrandTotal(), 2000.0);
 }
 
 }  // namespace

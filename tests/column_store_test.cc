@@ -1,9 +1,12 @@
-// Differential test of the workspace's table-M path (DESIGN.md §10): with
-// a CubeWorkspace, ComputeTableM reads its columns from the per-column
-// store and its counting u_j off the cube apexes. Over seeded random
+// Differential test of the cube kernel and the workspace's table-M path
+// (DESIGN.md §10): ComputeTableM groups every aggregate kind on dictionary
+// codes, from the workspace's per-column store when there is one, and
+// reads its counting u_j off the cube apexes. Over seeded random
 // instances, every table must match the naive oracle (ComputeTableMNaive)
-// and NumericalQuery::EvaluateOnUniversal bit for bit, before and after a
-// CommitDelta remap, while the store holds each column once.
+// and NumericalQuery::EvaluateOnUniversal bit for bit, across pool sizes
+// and before and after a CommitDelta remap, while the store holds each
+// column once. Double SUM/AVG depend on summation order, so for them the
+// contract is determinism per thread count (DESIGN.md §6).
 
 #include <cstdint>
 #include <cstring>
@@ -15,11 +18,13 @@
 
 #include "core/cube_algorithm.h"
 #include "core/cube_workspace.h"
+#include "core/engine.h"
 #include "core/naive.h"
 #include "datagen/rng.h"
 #include "relational/database.h"
 #include "relational/parser.h"
 #include "tests/test_util.h"
+#include "util/thread_pool.h"
 
 namespace xplain {
 namespace {
@@ -32,8 +37,8 @@ uint64_t Bits(double x) {
   return bits;
 }
 
-/// Fact(fid, did, a, b, c, v) with a standard FK to Dim(did, dv). v is a
-/// nullable int64 (about a third NULL) for COUNT(DISTINCT) and SUM.
+/// Fact(fid, did, a, b, c, v, w) with a standard FK to Dim(did, dv). v is
+/// a nullable int64 and w a nullable double (each about a third NULL).
 Database MakeDb(uint64_t seed) {
   Rng rng(seed);
   Relation dim(std::move(*RelationSchema::Create(
@@ -50,7 +55,8 @@ Database MakeDb(uint64_t seed) {
        {"a", DataType::kString},
        {"b", DataType::kString},
        {"c", DataType::kString},
-       {"v", DataType::kInt64}},
+       {"v", DataType::kInt64},
+       {"w", DataType::kDouble}},
       {"fid"})));
   for (int f = 0; f < 60; ++f) {
     const int64_t did = f < 4 ? f : rng.UniformInt(0, 3);
@@ -60,7 +66,9 @@ Database MakeDb(uint64_t seed) {
          Value::Str("b" + std::to_string(rng.UniformInt(0, 2))),
          Value::Str("c" + std::to_string(rng.UniformInt(0, 1))),
          rng.Bernoulli(0.3) ? Value::Null()
-                            : Value::Int(rng.UniformInt(0, 4))});
+                            : Value::Int(rng.UniformInt(0, 4)),
+         rng.Bernoulli(0.3) ? Value::Null()
+                            : Value::Real(rng.NextDouble() * 10.0 - 3.0)});
   }
   Database db;
   XPLAIN_CHECK(db.AddRelation(std::move(dim)).ok());
@@ -229,6 +237,273 @@ TEST(ColumnStoreTest, NoWorkspaceMatchesOracles) {
         universal, c,
         UnwrapOrDie(ComputeTableM(universal, c.question, c.attributes)));
   }
+}
+
+/// Bitwise equality of two tables M, row for row.
+void ExpectSameTable(const TableM& a, const TableM& b) {
+  ASSERT_EQ(a.NumRows(), b.NumRows());
+  ASSERT_EQ(a.subquery_values.size(), b.subquery_values.size());
+  for (size_t j = 0; j < a.original_values.size(); ++j) {
+    EXPECT_EQ(Bits(a.original_values[j]), Bits(b.original_values[j]));
+  }
+  for (size_t row = 0; row < a.NumRows(); ++row) {
+    EXPECT_EQ(CompareTuples(a.coords[row], b.coords[row]), 0) << row;
+    for (size_t j = 0; j < a.subquery_values.size(); ++j) {
+      EXPECT_EQ(Bits(a.subquery_values[j][row]),
+                Bits(b.subquery_values[j][row]));
+    }
+    EXPECT_EQ(Bits(a.mu_interv[row]), Bits(b.mu_interv[row]));
+    EXPECT_EQ(Bits(a.mu_aggr[row]), Bits(b.mu_aggr[row]));
+  }
+}
+
+/// Every aggregate kind over the int64 v and the double w, cubed on pools
+/// of 1, 2 and 8 threads; q2's filter passes no row, so its cube has no
+/// apex cell. Double SUM/AVG are checked for repeatability per thread
+/// count and, loosely, against the oracle; every other kind bit for bit.
+TEST(ColumnStoreTest, EveryAggregateKindAcrossPoolSizes) {
+  // (aggregate, whether the oracle comparison is bit-exact)
+  const std::vector<std::pair<std::string, bool>> aggregates = {
+      {"count(*)", true},    {"count(distinct Fact.v)", true},
+      {"sum(Fact.v)", true}, {"count(distinct Fact.w)", true},
+      {"avg(Fact.v)", true}, {"min(Fact.v)", true},
+      {"max(Fact.v)", true}, {"min(Fact.w)", true},
+      {"max(Fact.w)", true}, {"sum(Fact.w)", false},
+      {"avg(Fact.w)", false},
+  };
+  for (const uint64_t seed : {5u, 17u}) {
+    Database db = MakeDb(seed);
+    const UniversalRelation universal =
+        UnwrapOrDie(UniversalRelation::Build(db));
+    for (const auto& [agg, exact] : aggregates) {
+      SCOPED_TRACE(agg + ", seed " + std::to_string(seed));
+      const Case c = MakeCase(db, {"Fact.b", "Dim.dv"},
+                              {{agg, "Fact.c = 'c0' OR Fact.a = 'a1'"},
+                               {agg, "Fact.a = 'none'"}},
+                              "q1 - q2");
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ThreadPool pool(threads);
+        TableMOptions options;
+        options.cube.pool = &pool;
+        const TableM table = UnwrapOrDie(
+            ComputeTableM(universal, c.question, c.attributes, options));
+        EXPECT_EQ(table.original_values[1], 0.0);  // no apex cell
+        if (exact) {
+          ExpectMatchesOracles(universal, c, table);
+          continue;
+        }
+        ExpectSameTable(table, UnwrapOrDie(ComputeTableM(
+                                   universal, c.question, c.attributes,
+                                   options)));
+        const TableM naive = UnwrapOrDie(
+            ComputeTableMNaive(universal, c.question, c.attributes));
+        for (size_t row = 0; row < naive.NumRows(); ++row) {
+          const int64_t t = table.FindRow(naive.coords[row]);
+          ASSERT_GE(t, 0);
+          EXPECT_NEAR(table.subquery_values[0][t],
+                      naive.subquery_values[0][row], 1e-9);
+        }
+      }
+    }
+  }
+}
+
+/// The maintained kinds through a workspace and a delta: PlanDelta's
+/// removal cubes and its recomputation over the survivors must leave
+/// every cube equal to a fresh one on the mutated database.
+TEST(ColumnStoreTest, MaintainedKindsMatchOraclesAcrossDelta) {
+  for (const uint64_t seed : {5u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database db = MakeDb(seed);
+    UniversalRelation universal = UnwrapOrDie(UniversalRelation::Build(db));
+    std::vector<Case> cases;
+    for (const char* agg :
+         {"count(distinct Fact.v)", "sum(Fact.v)", "avg(Fact.v)",
+          "min(Fact.v)", "max(Fact.v)", "min(Fact.w)", "max(Fact.w)"}) {
+      cases.push_back(MakeCase(db, {"Fact.a", "Fact.b"},
+                               {{agg, "Fact.c = 'c1' OR Dim.dv = 'x'"},
+                                {"count(*)", "Fact.c = 'c1'"}},
+                               "q1 + q2"));
+    }
+    CubeWorkspace workspace;
+    TableMOptions options;
+    options.workspace = &workspace;
+    auto run_all = [&] {
+      const UniversalRelation oracle =
+          UnwrapOrDie(UniversalRelation::Build(db));
+      for (const Case& c : cases) {
+        ExpectMatchesOracles(
+            oracle, c,
+            UnwrapOrDie(
+                ComputeTableM(universal, c.question, c.attributes, options)));
+      }
+    };
+    run_all();
+    // One entry per case's q1, plus the q2 they share.
+    EXPECT_EQ(workspace.GetStats().cube_entries, cases.size() + 1);
+
+    Rng rng(seed * 11 + 3);
+    DeltaSet delta = db.EmptyDelta();
+    const int fact = *db.RelationIndex("Fact");
+    for (size_t row = 0; row < db.relation(fact).NumRows(); ++row) {
+      if (rng.Bernoulli(0.3)) delta[static_cast<size_t>(fact)].Set(row);
+    }
+    workspace.BeginDelta();
+    DeltaPlan plan = db.PlanDelta(delta);
+    UniversalRemap remap = universal.PlanRemap(plan);
+    CubeWorkspace::Patch patch = workspace.PlanDelta(universal, remap);
+    EXPECT_GT(patch.cells_recomputed, 0);
+    ASSERT_GT(db.ApplyDeltaPlan(plan), 0u);
+    workspace.CommitDelta(std::move(patch), remap);
+    universal.AdoptRows(std::move(remap));
+    run_all();
+  }
+}
+
+/// A held dictionary keeps the values of deleted rows
+/// (EncodedColumn::Remapped), so a maintained engine's keys can outgrow
+/// 64 packed bits on a handful of live rows: four attributes of 65536
+/// codes each take 4 x 17 = 68 bits, which the code-vector keys carry.
+TEST(ColumnStoreTest, WideKeysAfterDeltaMatchOracles) {
+  constexpr int64_t kRows = 65536;
+  Relation wide(std::move(*RelationSchema::Create(
+      "Wide",
+      {{"id", DataType::kInt64},
+       {"a", DataType::kInt64},
+       {"b", DataType::kInt64},
+       {"c", DataType::kInt64},
+       {"e", DataType::kInt64},
+       {"v", DataType::kInt64}},
+      {"id"})));
+  for (int64_t i = 0; i < kRows; ++i) {
+    wide.AppendUnchecked({Value::Int(i), Value::Int(i),
+                          Value::Int(i ^ 0x5a5a), Value::Int((i * 7) % kRows),
+                          Value::Int(kRows - 1 - i), Value::Int(i % 5)});
+  }
+  Database db;
+  XPLAIN_CHECK(db.AddRelation(std::move(wide)).ok());
+  UniversalRelation universal = UnwrapOrDie(UniversalRelation::Build(db));
+  const Case c = MakeCase(db, {"Wide.a", "Wide.b", "Wide.c", "Wide.e"},
+                          {{"count(*)", "Wide.v <> 4"},
+                           {"max(Wide.v)", "Wide.v <> 4"}},
+                          "q1 + q2");
+  std::vector<ColumnRef> columns = c.attributes;
+  columns.push_back(UnwrapOrDie(db.ResolveColumn("Wide.v")));
+  CubeWorkspace workspace;
+  workspace.Columns(universal, columns);
+
+  // Keep 8 rows; the held columns keep all 65536 codes.
+  DeltaSet delta = db.EmptyDelta();
+  for (int64_t i = 0; i < kRows; ++i) {
+    if (i % 8192 != 3) delta[0].Set(static_cast<size_t>(i));
+  }
+  workspace.BeginDelta();
+  DeltaPlan plan = db.PlanDelta(delta);
+  UniversalRemap remap = universal.PlanRemap(plan);
+  CubeWorkspace::Patch patch = workspace.PlanDelta(universal, remap);
+  ASSERT_EQ(db.ApplyDeltaPlan(plan), static_cast<size_t>(kRows - 8));
+  workspace.CommitDelta(std::move(patch), remap);
+  universal.AdoptRows(std::move(remap));
+  const ColumnCache held = workspace.Columns(universal, c.attributes);
+  for (int i = 0; i < held.num_columns(); ++i) {
+    EXPECT_EQ(held.DictionarySize(i), static_cast<size_t>(kRows));
+  }
+
+  const UniversalRelation oracle = UnwrapOrDie(UniversalRelation::Build(db));
+  for (const int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    TableMOptions options;
+    options.workspace = &workspace;
+    options.cube.pool = &pool;
+    ExpectMatchesOracles(oracle, c,
+                         UnwrapOrDie(ComputeTableM(universal, c.question,
+                                                   c.attributes, options)));
+  }
+}
+
+/// T(id, a, v): the only NULL grouping value (a) sits in the row with
+/// v = 1, which the filter v >= 3 drops.
+Database MakeNullDb() {
+  Relation t(std::move(*RelationSchema::Create(
+      "T",
+      {{"id", DataType::kInt64},
+       {"a", DataType::kString},
+       {"v", DataType::kInt64}},
+      {"id"})));
+  t.AppendUnchecked({Value::Int(1), Value::Str("x"), Value::Int(4)});
+  t.AppendUnchecked({Value::Int(2), Value::Str("y"), Value::Int(5)});
+  t.AppendUnchecked({Value::Int(3), Value::Null(), Value::Int(1)});
+  t.AppendUnchecked({Value::Int(4), Value::Str("x"), Value::Int(3)});
+  Database db;
+  XPLAIN_CHECK(db.AddRelation(std::move(t)).ok());
+  return db;
+}
+
+// A NULL grouping value is rejected only on a row that takes part, the
+// same for every aggregate kind.
+TEST(ColumnStoreTest, NullGroupingValueOutsideTheFilterIsAnswered) {
+  Database db = MakeNullDb();
+  const UniversalRelation universal =
+      UnwrapOrDie(UniversalRelation::Build(db));
+  std::vector<TableM> tables;
+  for (const char* agg : {"count(*)", "sum(T.v)"}) {
+    SCOPED_TRACE(agg);
+    const Case kept = MakeCase(db, {"T.a"}, {{agg, "T.v >= 3"}}, "q1");
+    tables.push_back(UnwrapOrDie(
+        ComputeTableM(universal, kept.question, kept.attributes)));
+    ExpectMatchesOracles(universal, kept, tables.back());
+    CubeWorkspace workspace;
+    TableMOptions options;
+    options.workspace = &workspace;
+    ExpectSameTable(tables.back(),
+                    UnwrapOrDie(ComputeTableM(universal, kept.question,
+                                              kept.attributes, options)));
+    const Case taking_part = MakeCase(db, {"T.a"}, {{agg, "T.v >= 1"}}, "q1");
+    EXPECT_EQ(ComputeTableM(universal, taking_part.question,
+                            taking_part.attributes)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_EQ(tables[0].NumRows(), tables[1].NumRows());
+  for (size_t row = 0; row < tables[0].NumRows(); ++row) {
+    EXPECT_EQ(CompareTuples(tables[0].coords[row], tables[1].coords[row]), 0);
+  }
+}
+
+// Incremental == rebuild across the NULL rule: once a delta deletes the
+// only NULL row, the maintained engine (whose held dictionary still has
+// the NULL code) answers exactly as a fresh engine does.
+TEST(ColumnStoreTest, DeletingTheOnlyNullRowMatchesAFreshEngine) {
+  Database db = MakeNullDb();
+  ExplainEngine engine = UnwrapOrDie(ExplainEngine::Create(&db));
+  // q1's cube is retained before q2 is rejected.
+  const Case c = MakeCase(db, {"T.a"},
+                          {{"count(*)", "T.v >= 3"}, {"sum(T.v)", "T.v >= 1"}},
+                          "q1 - q2");
+  ExplainOptions options;
+  options.num_threads = 1;
+  EXPECT_EQ(
+      engine.ExplainResolved(c.question, c.attributes, options).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.workspace().GetStats().cube_entries, 1u);
+
+  DeltaSet delta = db.EmptyDelta();
+  delta[0].Set(2);
+  EngineDeltaPlan plan = engine.PlanDelta(delta);
+  ASSERT_EQ(plan.rows_removed, 1u);
+  db.ApplyDeltaPlan(plan.db_plan);
+  engine.CommitDelta(std::move(plan));
+
+  const ExplainReport maintained = UnwrapOrDie(
+      engine.ExplainResolved(c.question, c.attributes, options));
+  Database mutated = db;
+  ExplainEngine fresh = UnwrapOrDie(ExplainEngine::Create(&mutated));
+  const ExplainReport rebuilt =
+      UnwrapOrDie(fresh.ExplainResolved(c.question, c.attributes, options));
+  ExpectSameTable(maintained.table, rebuilt.table);
+  EXPECT_GT(engine.workspace().GetStats().cube_hits, 0);
 }
 
 }  // namespace

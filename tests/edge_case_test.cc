@@ -3,6 +3,7 @@
 
 #include "core/engine.h"
 #include "core/intervention.h"
+#include "core/naive.h"
 #include "gtest/gtest.h"
 #include "relational/cube.h"
 #include "relational/parser.h"
@@ -44,23 +45,31 @@ TEST(EdgeCaseTest, NullValuesNeverSatisfyPredicates) {
 
 TEST(EdgeCaseTest, CubeRejectsNullGroupingAttributes) {
   // A data NULL in a grouping attribute would be indistinguishable from
-  // the lattice's don't-care marker (SQL's GROUPING() ambiguity), so both
-  // cube paths reject it up front.
+  // the lattice's don't-care marker (SQL's GROUPING() ambiguity), so the
+  // cube rejects it on any row that takes part.
   Database db = BuildNullHeavyDb();
   UniversalRelation u = UnwrapOrDie(UniversalRelation::Build(db));
   ColumnRef v = *db.ResolveColumn("T.v");
-  auto generic = DataCube::Compute(u, {v}, AggregateSpec::CountStar(),
-                                   nullptr);
-  EXPECT_EQ(generic.status().code(), StatusCode::kInvalidArgument);
-  ColumnCache cache = ColumnCache::Build(u, {v});
-  RowSet rows = EvaluateFilterBitmap(u, nullptr);
-  auto cached = DataCube::ComputeCached(cache, {0},
-                                        AggregateKind::kCountStar, -1, &rows);
-  EXPECT_EQ(cached.status().code(), StatusCode::kInvalidArgument);
-  // Filtering the NULLs away first makes the cube legal.
+  auto all_rows = DataCube::Compute(u, {v}, AggregateSpec::CountStar(),
+                                    nullptr);
+  EXPECT_EQ(all_rows.status().code(), StatusCode::kInvalidArgument);
+  // Filtering the NULLs away first makes the cube legal, and it matches
+  // the naive oracle (which never enumerates NULL as a candidate).
   DnfPredicate present = Pred(db, "T.v = 'present'");
   DataCube ok = UnwrapOrDie(
       DataCube::Compute(u, {v}, AggregateSpec::CountStar(), &present));
+  std::vector<AggregateQuery> subqueries(1);
+  subqueries[0].name = "q1";
+  subqueries[0].where = present;
+  UserQuestion question;
+  question.query = UnwrapOrDie(NumericalQuery::Create(
+      std::move(subqueries), UnwrapOrDie(ParseExpression("q1", {"q1"}))));
+  TableM naive = UnwrapOrDie(ComputeTableMNaive(u, question, {v}));
+  ASSERT_EQ(naive.NumRows(), ok.NumCells());
+  for (size_t row = 0; row < naive.NumRows(); ++row) {
+    EXPECT_EQ(ok.CellValue(naive.coords[row]),
+              naive.subquery_values[0][row]);
+  }
   EXPECT_DOUBLE_EQ(ok.CellValue({Value::Str("present")}), 1);
 }
 

@@ -245,6 +245,44 @@ TEST(XplaindServiceTest, MalformedLinesGetErrorResponsesNotCrashes) {
   EXPECT_EQ(stats.served, 0);
 }
 
+// MIN/MAX over a string column parse (a plain aggregate query prints the
+// string), but no cube cell or u_j can hold one: EXPLAIN and TOPK get a
+// structured error and the daemon keeps serving.
+TEST(XplaindServiceTest, StringMinMaxSubqueryIsRejectedNotFatal) {
+  auto service = UnwrapOrDie(
+      XplaindService::Create(::xplain::testing::BuildRunningExample()));
+  auto line = [](int id, const std::string& op, const std::string& agg,
+                 const std::string& extra = "") {
+    return "{\"id\":" + std::to_string(id) + ",\"op\":\"" + op +
+           "\",\"question\":{\"subqueries\":[{\"name\":\"q1\","
+           "\"agg\":\"" + agg + "\",\"where\":\"\"}],\"expr\":\"q1\"},"
+           "\"attrs\":[\"Publication.venue\"]" + extra + "}";
+  };
+  // Every engine path: the cube, the naive table, a shard's partial
+  // table and a shard's exact rescore.
+  const std::vector<std::string> paths = {
+      "", ",\"options\":{\"use_cube\":false}", ",\"partial\":true",
+      ",\"rescore_cells\":[[\"SIGMOD\"]]"};
+  int id = 1;
+  for (const char* op : {"EXPLAIN", "TOPK"}) {
+    for (const char* agg : {"max(Author.name)", "min(Author.name)"}) {
+      for (const std::string& path : paths) {
+        if (op == std::string("TOPK") && path.find("rescore") != path.npos) {
+          continue;  // rescore_cells is EXPLAIN-only
+        }
+        const std::string bad = service->HandleLine(line(id++, op, agg, path));
+        EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << bad;
+        EXPECT_NE(bad.find("InvalidArgument"), std::string::npos) << bad;
+        EXPECT_NE(bad.find("numeric"), std::string::npos) << bad;
+      }
+    }
+  }
+  const std::string good =
+      service->HandleLine(line(id, "EXPLAIN", "max(Publication.year)"));
+  EXPECT_NE(good.find("\"ok\":true"), std::string::npos) << good;
+  EXPECT_EQ(service->GetStats().served, 1);
+}
+
 TEST(XplaindServiceTest, ApplyDeltaInvalidatesCacheAndChangesAnswers) {
   auto service = UnwrapOrDie(XplaindService::Create(MakeDb()));
   LoopbackTransport transport(service.get());
