@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the relational substrate and the
 // intervention engine: universal-relation assembly, semijoin reduction,
 // cube computation, predicate scans, and the program-P fixpoint, on the
-// synthetic DBLP workload.
+// synthetic DBLP workload; the cube kernel and table M also on 100k
+// synthetic natality rows.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "core/cube_algorithm.h"
 #include "core/intervention.h"
 #include "datagen/dblp.h"
 #include "datagen/natality.h"
@@ -110,6 +112,44 @@ void BM_CubeNatality(benchmark::State& state) {
                           static_cast<int64_t>(u->NumRows()));
 }
 BENCHMARK(BM_CubeNatality)->Arg(2)->Arg(4)->Arg(6);
+
+// ComputeTableM over held columns, single-threaded: every cube of a
+// question from the kernel (the workspace holds the encoded columns but
+// no cubes, so none is reused). Args: question (0 = Q_Race, m = 2;
+// 1 = Q_Marital, m = 4) and the number of candidate attributes d.
+void BM_TableMNatality(benchmark::State& state) {
+  const Database& db = NatalityDb();
+  static UniversalRelation* u = [] {
+    auto result = UniversalRelation::Build(NatalityDb());
+    XPLAIN_CHECK(result.ok());
+    return new UniversalRelation(std::move(result).ValueOrDie());
+  }();
+  auto question = state.range(0) == 0 ? datagen::MakeNatalityQRace(db)
+                                      : datagen::MakeNatalityQMarital(db);
+  XPLAIN_CHECK(question.ok());
+  const char* names[] = {"Birth.age", "Birth.tobacco", "Birth.prenatal",
+                         "Birth.education", "Birth.marital"};
+  std::vector<ColumnRef> attrs;
+  for (int i = 0; i < state.range(1); ++i) {
+    attrs.push_back(*db.ResolveColumn(names[i]));
+  }
+  CubeWorkspace workspace(CubeWorkspace::Limits{0});
+  TableMOptions options;
+  options.workspace = &workspace;
+  for (auto _ : state) {
+    auto table = ComputeTableM(*u, *question, attrs, options);
+    XPLAIN_CHECK(table.ok());
+    benchmark::DoNotOptimize(table);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(u->NumRows()));
+}
+BENCHMARK(BM_TableMNatality)
+    ->Args({0, 3})
+    ->Args({0, 5})
+    ->Args({1, 3})
+    ->Args({1, 5})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_InterventionFixpoint(benchmark::State& state) {
   const Database& db = DblpDb();

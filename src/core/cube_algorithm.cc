@@ -20,6 +20,13 @@ bool IsCounting(AggregateKind kind) {
 
 }  // namespace
 
+Status CheckSubqueryCount(int m) {
+  if (m <= kMaxSubqueries) return Status::OK();
+  return Status::InvalidArgument("a question has at most " +
+                                 std::to_string(kMaxSubqueries) +
+                                 " subqueries; got " + std::to_string(m));
+}
+
 int64_t TableM::FindRow(const Tuple& cell) const {
   for (size_t i = 0; i < coords.size(); ++i) {
     if (TupleEq{}(coords[i], cell)) return static_cast<int64_t>(i);
@@ -36,59 +43,62 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   if (m == 0) {
     return Status::InvalidArgument("question has no subqueries");
   }
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueryCount(m));
 
   TableM table;
   table.attributes = attributes;
   XPLAIN_TRACE_SPAN("tablem.compute");
 
-  // Step 2 first: the m cubes, all from one dictionary-coded view (the
-  // workspace's held columns, or a private encoding) of the grouping
-  // attributes, the aggregated columns and the filter columns.
-  // Cubes are held by shared_ptr so rows can come either from the
-  // maintained workspace (shared across calls) or a fresh computation.
+  // Step 2 first: the cubes the workspace does not hold, all from one
+  // kernel call over one dictionary-coded view (the workspace's held
+  // columns, or a private encoding) of the grouping attributes, the
+  // aggregated columns and the filter columns. Cubes are held by
+  // shared_ptr so rows can come either from the maintained workspace
+  // (shared across calls) or a fresh computation.
   const Database& db = universal.db();
   CubeWorkspace* workspace = options.workspace;
-  std::vector<std::shared_ptr<const DataCube>> cubes;
-  cubes.reserve(m);
+  std::vector<std::shared_ptr<const DataCube>> cubes(m);
   int64_t step_start_us = Trace::NowMicros();
   TraceSpan cubes_span("tablem.cubes");
   const std::vector<ColumnRef> columns =
       CubeColumns(attributes, query.subqueries());
   const ColumnCache cache = workspace
                                 ? workspace->Columns(universal, columns)
-                                : ColumnCache::Build(universal, columns);
-  for (const AggregateQuery& q : query.subqueries()) {
+                                : ColumnCache::Build(universal, columns,
+                                                     options.cube.pool);
+  std::vector<CubeQuery> misses;
+  std::vector<int> missed;
+  for (int j = 0; j < m; ++j) {
+    const AggregateQuery& q = query.subqueries()[j];
     if (workspace != nullptr) {
-      std::shared_ptr<const DataCube> hit =
-          workspace->LookupCube(db, q, attributes);
-      if (hit != nullptr) {
-        cubes.push_back(std::move(hit));
+      cubes[j] = workspace->LookupCube(db, q, attributes);
+      if (cubes[j] != nullptr) continue;
+    }
+    // A retained non-COUNT(*) cube keeps its cells' row counts as the
+    // liveness sidecar; a COUNT(*) cube is its own.
+    misses.push_back(CubeQuery{
+        q.agg, &q.where,
+        workspace != nullptr && q.agg.kind != AggregateKind::kCountStar &&
+            CubeWorkspace::CubeIsMaintainable(db, q.agg)});
+    missed.push_back(j);
+  }
+  if (!misses.empty()) {
+    XPLAIN_ASSIGN_OR_RETURN(
+        std::vector<CubeResult> computed,
+        ComputeCubes(cache, attributes, misses, nullptr, options.cube));
+    for (size_t k = 0; k < computed.size(); ++k) {
+      const AggregateQuery& q = query.subqueries()[missed[k]];
+      CubeResult& result = computed[k];
+      XPLAIN_RETURN_IF_ERROR(result.status);
+      if (workspace == nullptr) {
+        cubes[missed[k]] =
+            std::make_shared<const DataCube>(std::move(result.cube));
         continue;
       }
+      cubes[missed[k]] =
+          workspace->InsertCube(db, q, attributes, std::move(result.cube),
+                                std::move(result.row_counts));
     }
-    XPLAIN_ASSIGN_OR_RETURN(CodedFilter filter,
-                            CodedFilter::Compile(cache, q.where));
-    const std::vector<uint32_t> rows = filter.MatchingRows(cache);
-    XPLAIN_ASSIGN_OR_RETURN(
-        DataCube cube,
-        DataCube::Compute(cache, attributes, q.agg, rows, options.cube));
-    if (workspace == nullptr || !CubeWorkspace::CubeIsMaintainable(db, q.agg)) {
-      cubes.push_back(std::make_shared<const DataCube>(std::move(cube)));
-      continue;
-    }
-    // The cell-liveness sidecar: COUNT(*) over the same rows.
-    DataCube::CellMap counts;
-    if (q.agg.kind == AggregateKind::kCountStar) {
-      counts = cube.cells();
-    } else {
-      XPLAIN_ASSIGN_OR_RETURN(
-          DataCube count_cube,
-          DataCube::Compute(cache, attributes, AggregateSpec::CountStar(),
-                            rows, options.cube));
-      counts = std::move(*count_cube.mutable_cells());
-    }
-    cubes.push_back(workspace->InsertCube(db, q, attributes, std::move(cube),
-                                          std::move(counts)));
   }
   cubes_span.End();
   table.build_stats.cube_build_ms = MsSince(step_start_us);
@@ -139,10 +149,7 @@ Status AssembleTableM(CubeJoinResult joined, const NumericalQuery& query,
   if (m == 0) {
     return Status::InvalidArgument("joined cube table has no value columns");
   }
-  if (m > 64) {
-    return Status::InvalidArgument(
-        "cube_mask covers at most 64 subqueries; got " + std::to_string(m));
-  }
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueryCount(m));
   if (static_cast<int>(query.num_subqueries()) != m) {
     return Status::InvalidArgument(
         "joined cube table has " + std::to_string(m) +

@@ -68,6 +68,14 @@ struct TableM {
   int64_t FindRow(const Tuple& cell) const;
 };
 
+/// The most subqueries a question may have: table M's cube_mask and one
+/// cube kernel call carry one bit per subquery.
+inline constexpr int kMaxSubqueries = 64;
+
+/// kInvalidArgument when a question of `m` subqueries exceeds
+/// kMaxSubqueries. Every cube path checks it before any cube work.
+[[nodiscard]] Status CheckSubqueryCount(int m);
+
 /// Options for ComputeTableM.
 /// Thread-safety: plain data, externally synchronized.
 struct TableMOptions {

@@ -185,40 +185,42 @@ CubeWorkspace::Patch CubeWorkspace::PlanDelta(
     const AggregateSpec& agg = entry.query.agg;
     const ColumnCache cache = Columns(
         old_universal, CubeColumns(entry.attributes, {&entry.query, 1}));
-    Result<CodedFilter> filter = CodedFilter::Compile(cache, entry.query.where);
-    XPLAIN_CHECK(filter.ok()) << filter.status().ToString();
     CubeOptions options;
     options.max_attributes = static_cast<int>(entry.attributes.size());
     // Every row cubed here took part in the retained cube over the same
     // columns (no NULL key, numeric value column), so the kernel cannot
     // fail.
-    auto cube_of = [&](const AggregateSpec& spec,
-                       const std::vector<uint32_t>& rows) {
-      Result<DataCube> cube =
-          DataCube::Compute(cache, entry.attributes, spec, rows, options);
-      XPLAIN_CHECK(cube.ok()) << cube.status().ToString();
-      return std::move(cube).ValueOrDie();
+    auto cubes_of = [&](const std::vector<CubeQuery>& queries,
+                        const std::vector<uint32_t>& rows) {
+      Result<std::vector<CubeResult>> cubes =
+          ComputeCubes(cache, entry.attributes, queries, &rows, options);
+      XPLAIN_CHECK(cubes.ok()) << cubes.status().ToString();
+      for (const CubeResult& cube : *cubes) {
+        XPLAIN_CHECK(cube.status.ok()) << cube.status.ToString();
+      }
+      return std::move(cubes).ValueOrDie();
     };
 
-    std::vector<uint32_t> removed;
-    for (uint32_t u : remap.removed_universal) {
-      if (filter->Eval(cache, u)) removed.push_back(u);
-    }
-    if (removed.empty()) continue;
-    // The removal effects per ancestor cell: how many filter-passing rows
-    // die, whether any of them had a non-NULL value (COUNT(DISTINCT) > 0),
-    // and their sum (SUM) or extremum (MIN/MAX).
-    const DataCube removed_counts =
-        cube_of(AggregateSpec::CountStar(), removed);
-    DataCube non_null;
-    DataCube effects;
+    // The removal effects per ancestor cell, from one kernel call over the
+    // removed filter-passing rows: how many die (the row counts), their
+    // sum (SUM) or extremum (MIN/MAX), and whether any of them had a
+    // non-NULL value (COUNT(DISTINCT) > 0).
+    std::vector<CubeQuery> removal = {
+        CubeQuery{agg, &entry.query.where, /*row_counts=*/true}};
     if (agg.kind != AggregateKind::kCountStar) {
-      non_null = cube_of(AggregateSpec::CountDistinct(agg.column), removed);
+      removal.push_back(CubeQuery{AggregateSpec::CountDistinct(agg.column),
+                                  &entry.query.where, false});
     }
-    if (agg.kind == AggregateKind::kSum || agg.kind == AggregateKind::kMin ||
-        agg.kind == AggregateKind::kMax) {
-      effects = cube_of(agg, removed);
-    }
+    const std::vector<CubeResult> removed =
+        cubes_of(removal, remap.removed_universal);
+    const bool count_star = agg.kind == AggregateKind::kCountStar;
+    const DataCube::CellMap& removed_counts =
+        count_star ? removed[0].cube.cells() : removed[0].row_counts;
+    if (removed_counts.empty()) continue;
+    const DataCube& effects = removed[0].cube;
+    // A COUNT(*) entry's cells are its row counts.
+    const DataCube::CellMap& counts =
+        count_star ? entry.cube->cells() : entry.counts;
 
     // Emit the per-cell updates. A surviving cell needs recomputation when
     // an extremum may have died (MIN/MAX) or the aggregate does not
@@ -227,22 +229,22 @@ CubeWorkspace::Patch CubeWorkspace::PlanDelta(
     // sums are exact, MIN/MAX and DISTINCT are idempotent folds), so it
     // matches a fresh cube byte for byte.
     std::vector<Tuple> dirty;
-    for (const auto& [coord, removed_count] : removed_counts.cells()) {
-      auto count_it = entry.counts.find(coord);
+    for (const auto& [coord, removed_count] : removed_counts) {
+      auto count_it = counts.find(coord);
       const double old_count =
-          count_it == entry.counts.end() ? 0.0 : count_it->second;
+          count_it == counts.end() ? 0.0 : count_it->second;
       const double new_count = old_count - removed_count;
       ++patch.cells_patched;
       if (new_count <= 0.0) {
         entry_patch.erasures.push_back(coord);
         continue;
       }
-      entry_patch.count_updates.emplace_back(coord, new_count);
-      if (agg.kind == AggregateKind::kCountStar) {
+      if (count_star) {
         entry_patch.value_updates.emplace_back(coord, new_count);
         continue;
       }
-      if (non_null.CellValue(coord) == 0.0) continue;  // no value lost
+      entry_patch.count_updates.emplace_back(coord, new_count);
+      if (removed[1].cube.CellValue(coord) == 0.0) continue;  // no value lost
       const double value = entry.cube->CellValue(coord);
       const double effect = effects.CellValue(coord);
       if (agg.kind == AggregateKind::kSum) {
@@ -253,13 +255,11 @@ CubeWorkspace::Patch CubeWorkspace::PlanDelta(
       }
     }
     if (dirty.empty()) continue;
-    std::vector<uint32_t> survivors;
-    for (uint32_t u : remap.surviving_universal) {
-      if (filter->Eval(cache, u)) survivors.push_back(u);
-    }
-    const DataCube fresh = cube_of(agg, survivors);
+    const std::vector<CubeResult> fresh =
+        cubes_of({CubeQuery{agg, &entry.query.where, false}},
+                 remap.surviving_universal);
     for (Tuple& coord : dirty) {
-      const double value = fresh.CellValue(coord);
+      const double value = fresh[0].cube.CellValue(coord);
       entry_patch.value_updates.emplace_back(std::move(coord), value);
     }
     patch.cells_recomputed += static_cast<int64_t>(dirty.size());

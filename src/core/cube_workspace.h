@@ -107,8 +107,9 @@ class CubeWorkspace {
       const Database& db, const AggregateQuery& query,
       const std::vector<ColumnRef>& attributes) const;
 
-  /// Offers a freshly computed cube (plus its COUNT(*) sidecar over the
-  /// same filter — cell liveness) for retention. Skipped without effect
+  /// Offers a freshly computed cube for retention, with its cells' row
+  /// counts (cell liveness) unless it is a COUNT(*) cube, whose cells are
+  /// its row counts (`counts` is then empty). Skipped without effect
   /// when frozen, at capacity, already present, or not maintainable; in
   /// every case returns `cube` wrapped in a shared_ptr for the caller to
   /// keep using.
@@ -154,8 +155,9 @@ class CubeWorkspace {
     AggregateQuery query;
     std::vector<ColumnRef> attributes;
     std::shared_ptr<DataCube> cube;
-    /// coord -> number of filter-passing input rows (COUNT(*) over the
-    /// same filter/attrs); a cell dies exactly when this reaches zero.
+    /// coord -> number of filter-passing input rows; a cell dies exactly
+    /// when this reaches zero. Empty for a COUNT(*) entry, which reads
+    /// its counts off `cube`.
     DataCube::CellMap counts;
   };
 

@@ -27,11 +27,12 @@ int ClampThreads(int requested) {
   return requested <= 0 ? cores : std::min(requested, cores);
 }
 
-/// Cube cells and u_j are doubles, so SUM/MIN/MAX/AVG subqueries need a
-/// numeric column. ParseAggregate lets MIN/MAX over any column through (a
-/// plain aggregate query prints the Value); explanations reject it here.
-Status CheckNumericSubqueries(const Database& db,
-                              const NumericalQuery& query) {
+/// Refused before any table work: more than kMaxSubqueries subqueries,
+/// and SUM/MIN/MAX/AVG over a non-numeric column (cube cells and u_j are
+/// doubles; ParseAggregate lets MIN/MAX over any column through, since a
+/// plain aggregate query prints the Value).
+Status CheckSubqueries(const Database& db, const NumericalQuery& query) {
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueryCount(query.num_subqueries()));
   for (const AggregateQuery& q : query.subqueries()) {
     if (q.agg.kind == AggregateKind::kCountStar ||
         q.agg.kind == AggregateKind::kCountDistinct ||
@@ -196,7 +197,7 @@ Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options) const {
   XPLAIN_TRACE_SPAN("engine.explain_partial");
-  XPLAIN_RETURN_IF_ERROR(CheckNumericSubqueries(*db_, question.query));
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueries(*db_, question.query));
   if (!options.use_cube) {
     return Status::InvalidArgument(
         "partial EXPLAIN requires the cube path (the naive table carries no "
@@ -227,7 +228,7 @@ Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const std::vector<Tuple>& cells, int num_threads) const {
   XPLAIN_TRACE_SPAN("engine.rescore_cells");
-  XPLAIN_RETURN_IF_ERROR(CheckNumericSubqueries(*db_, question.query));
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueries(*db_, question.query));
   for (const Tuple& cell : cells) {
     if (cell.size() != attributes.size()) {
       return Status::InvalidArgument(
@@ -260,7 +261,7 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options) const {
   XPLAIN_TRACE_SPAN("engine.explain");
-  XPLAIN_RETURN_IF_ERROR(CheckNumericSubqueries(*db_, question.query));
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueries(*db_, question.query));
   const int64_t explain_start_us = Trace::NowMicros();
   std::vector<std::pair<std::string, double>> counters_before;
   if (options.collect_stats) {

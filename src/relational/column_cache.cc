@@ -1,5 +1,7 @@
 #include "relational/column_cache.h"
 
+#include <algorithm>
+#include <string>
 #include <unordered_map>
 
 namespace xplain {
@@ -52,12 +54,18 @@ ColumnCache::ColumnCache(
 }
 
 ColumnCache ColumnCache::Build(const UniversalRelation& universal,
-                               const std::vector<ColumnRef>& columns) {
-  std::vector<std::shared_ptr<const EncodedColumn>> encoded;
-  for (const ColumnRef& column : columns) {
-    encoded.push_back(std::make_shared<const EncodedColumn>(
-        EncodedColumn::Encode(universal, column)));
-  }
+                               const std::vector<ColumnRef>& columns,
+                               ThreadPool* pool) {
+  std::vector<std::shared_ptr<const EncodedColumn>> encoded(columns.size());
+  const Status status = ParallelShards(
+      pool, columns.size(), [&](int, size_t begin, size_t end) {
+        for (size_t c = begin; c < end; ++c) {
+          encoded[c] = std::make_shared<const EncodedColumn>(
+              EncodedColumn::Encode(universal, columns[c]));
+        }
+        return Status::OK();
+      });
+  XPLAIN_CHECK(status.ok()) << status.ToString();
   return ColumnCache(universal, std::move(encoded));
 }
 
@@ -68,6 +76,30 @@ int ColumnCache::FindColumn(const ColumnRef& column) const {
   return -1;
 }
 
+namespace {
+
+/// Per dictionary code of the cached column `atom` reads: whether the
+/// atom holds. kInvalidArgument when that column is not cached.
+Result<std::vector<uint8_t>> MatchTable(const ColumnCache& cache,
+                                        const AtomicPredicate& atom,
+                                        int* column_index) {
+  *column_index = cache.FindColumn(atom.column);
+  if (*column_index < 0) {
+    return Status::InvalidArgument(
+        "filter atom references a column outside the cache");
+  }
+  std::vector<uint8_t> match(cache.DictionarySize(*column_index));
+  for (size_t code = 0; code < match.size(); ++code) {
+    match[code] =
+        atom.Eval(cache.Decode(*column_index, static_cast<uint32_t>(code)))
+            ? 1
+            : 0;
+  }
+  return match;
+}
+
+}  // namespace
+
 Result<CodedFilter> CodedFilter::Compile(const ColumnCache& cache,
                                          const DnfPredicate& filter) {
   CodedFilter out;
@@ -76,21 +108,10 @@ Result<CodedFilter> CodedFilter::Compile(const ColumnCache& cache,
     std::vector<CodedAtom> coded;
     coded.reserve(conjunct.atoms().size());
     for (const AtomicPredicate& atom : conjunct.atoms()) {
-      int column_index = cache.FindColumn(atom.column);
-      if (column_index < 0) {
-        return Status::InvalidArgument(
-            "filter atom references a column outside the cache");
-      }
       CodedAtom coded_atom;
-      coded_atom.column_index = column_index;
-      size_t dict = cache.DictionarySize(column_index);
-      coded_atom.match.resize(dict);
-      for (size_t code = 0; code < dict; ++code) {
-        coded_atom.match[code] =
-            atom.Eval(cache.Decode(column_index, static_cast<uint32_t>(code)))
-                ? 1
-                : 0;
-      }
+      XPLAIN_ASSIGN_OR_RETURN(
+          coded_atom.match,
+          MatchTable(cache, atom, &coded_atom.column_index));
       coded.push_back(std::move(coded_atom));
     }
     out.disjuncts_.push_back(std::move(coded));
@@ -98,13 +119,72 @@ Result<CodedFilter> CodedFilter::Compile(const ColumnCache& cache,
   return out;
 }
 
-std::vector<uint32_t> CodedFilter::MatchingRows(
-    const ColumnCache& cache) const {
-  std::vector<uint32_t> rows;
-  for (size_t u = 0; u < cache.NumRows(); ++u) {
-    if (Eval(cache, u)) rows.push_back(static_cast<uint32_t>(u));
+Result<FilterMasks> FilterMasks::Compile(
+    const ColumnCache& cache, const std::vector<const DnfPredicate*>& filters) {
+  if (filters.size() > 64) {
+    return Status::InvalidArgument("at most 64 filters share one mask; got " +
+                                   std::to_string(filters.size()));
   }
-  return rows;
+  FilterMasks out;
+  for (size_t b = 0; b < filters.size(); ++b) {
+    const DnfPredicate* filter = filters[b];
+    const uint64_t bit = uint64_t{1} << b;
+    if (filter == nullptr) {
+      out.conjunctive_ |= bit;
+      continue;
+    }
+    if (filter->disjuncts().size() != 1) {
+      XPLAIN_ASSIGN_OR_RETURN(CodedFilter coded,
+                              CodedFilter::Compile(cache, *filter));
+      out.disjunctive_.emplace_back(static_cast<int>(b), std::move(coded));
+      continue;
+    }
+    out.conjunctive_ |= bit;
+    for (const AtomicPredicate& atom : filter->disjuncts()[0].atoms()) {
+      int column_index = -1;
+      XPLAIN_ASSIGN_OR_RETURN(std::vector<uint8_t> match,
+                              MatchTable(cache, atom, &column_index));
+      auto table = std::find_if(
+          out.tables_.begin(), out.tables_.end(),
+          [&](const ColumnTable& t) { return t.column_index == column_index; });
+      if (table == out.tables_.end()) {
+        // A code passes every filter that has no atom on the column.
+        out.tables_.push_back({column_index, std::vector<uint64_t>(
+                                                 match.size(), ~uint64_t{0})});
+        table = out.tables_.end() - 1;
+      }
+      for (size_t code = 0; code < match.size(); ++code) {
+        if (!match[code]) table->pass[code] &= ~bit;
+      }
+    }
+  }
+  return out;
+}
+
+template <typename RowAt>
+void FilterMasks::Fill(const ColumnCache& cache, size_t n, RowAt row_at,
+                       uint64_t* out) const {
+  std::fill(out, out + n, conjunctive_);
+  for (const ColumnTable& table : tables_) {
+    const uint32_t* codes = cache.Codes(table.column_index);
+    const uint64_t* pass = table.pass.data();
+    for (size_t r = 0; r < n; ++r) out[r] &= pass[codes[row_at(r)]];
+  }
+  for (const auto& [bit, filter] : disjunctive_) {
+    for (size_t r = 0; r < n; ++r) {
+      if (filter.Eval(cache, row_at(r))) out[r] |= uint64_t{1} << bit;
+    }
+  }
+}
+
+void FilterMasks::Masks(const ColumnCache& cache, const uint32_t* rows,
+                        size_t n, uint64_t* out) const {
+  Fill(cache, n, [rows](size_t r) { return rows[r]; }, out);
+}
+
+void FilterMasks::Masks(const ColumnCache& cache, size_t first, size_t n,
+                        uint64_t* out) const {
+  Fill(cache, n, [first](size_t r) { return first + r; }, out);
 }
 
 }  // namespace xplain

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "relational/predicate.h"
 #include "relational/universal.h"
+#include "util/thread_pool.h"
 
 namespace xplain {
 
@@ -47,9 +49,11 @@ class ColumnCache {
   ColumnCache(const UniversalRelation& universal,
               std::vector<std::shared_ptr<const EncodedColumn>> columns);
 
-  /// Encodes `columns` of `universal` into a view that owns them.
+  /// Encodes `columns` of `universal` into a view that owns them, one
+  /// column per task across `pool` (nullptr: sequentially).
   static ColumnCache Build(const UniversalRelation& universal,
-                           const std::vector<ColumnRef>& columns);
+                           const std::vector<ColumnRef>& columns,
+                           ThreadPool* pool = nullptr);
 
   /// The cached column at position `col`.
   const ColumnRef& column(int col) const { return columns_[col]->column; }
@@ -60,6 +64,8 @@ class ColumnCache {
 
   /// Dictionary code of column `col` in universal row `row`.
   uint32_t Code(size_t row, int col) const { return codes_[col][row]; }
+  /// Column `col`'s codes, one per universal row.
+  const uint32_t* Codes(int col) const { return codes_[col]; }
 
   /// Decoded value for a column code.
   const Value& Decode(int col, uint32_t code) const {
@@ -105,15 +111,47 @@ class CodedFilter {
     return false;
   }
 
-  /// The cached rows passing the filter, ascending.
-  std::vector<uint32_t> MatchingRows(const ColumnCache& cache) const;
-
  private:
   struct CodedAtom {
     int column_index = -1;
     std::vector<uint8_t> match;  // indexed by dictionary code
   };
   std::vector<std::vector<CodedAtom>> disjuncts_;
+};
+
+/// Up to 64 filters compiled together for one scan: a row's mask has bit
+/// b set iff the row passes filter b. A single-conjunct filter becomes a
+/// bit in per-column tables (dictionary code -> the filters that code
+/// passes), which a row ANDs together; a filter with several disjuncts
+/// sets its bit with CodedFilter::Eval; a FALSE filter (no disjuncts)
+/// never sets it. Requires every atom's column to be cached.
+/// Thread-safety: safe after Compile — Masks only reads.
+class FilterMasks {
+ public:
+  /// `filters[b]` is filter b; nullptr passes every row.
+  [[nodiscard]] static Result<FilterMasks> Compile(
+      const ColumnCache& cache, const std::vector<const DnfPredicate*>& filters);
+
+  /// out[r] = the mask of row rows[r], for r < n; one column at a time.
+  void Masks(const ColumnCache& cache, const uint32_t* rows, size_t n,
+             uint64_t* out) const;
+  /// out[r] = the mask of row first + r, for r < n.
+  void Masks(const ColumnCache& cache, size_t first, size_t n,
+             uint64_t* out) const;
+
+ private:
+  struct ColumnTable {
+    int column_index = -1;
+    std::vector<uint64_t> pass;  // indexed by dictionary code
+  };
+  uint64_t conjunctive_ = 0;  // bits of the single-conjunct filters
+  std::vector<ColumnTable> tables_;
+  std::vector<std::pair<int, CodedFilter>> disjunctive_;
+
+  /// Masks of the rows row_at(0), ..., row_at(n - 1).
+  template <typename RowAt>
+  void Fill(const ColumnCache& cache, size_t n, RowAt row_at,
+            uint64_t* out) const;
 };
 
 }  // namespace xplain

@@ -19,10 +19,10 @@ struct CubeOptions {
   int max_attributes = 16;
   /// Non-owning worker pool for the sharded cube evaluation (DESIGN.md §6):
   /// the input rows are split into per-thread ranges aggregated into
-  /// thread-local cell maps (merged exactly — cells are additive under any
-  /// disjoint partition of the input rows), and the 2^d rollup lattice is
-  /// partitioned by mask so shards emit disjoint cell sets. nullptr (the
-  /// default) runs single-threaded.
+  /// thread-local cells (merged in shard order — cells are additive under
+  /// any disjoint partition of the input rows), and the roll-up is split
+  /// by subquery (dense lattice) or by mask (hashed cells) so shards write
+  /// disjoint cells. nullptr (the default) runs single-threaded.
   ThreadPool* pool = nullptr;
 };
 
@@ -31,13 +31,8 @@ struct CubeOptions {
 ///
 /// A cell coordinate assigns each cube attribute either a concrete value or
 /// NULL meaning ALL ("don't care"). The all-NULL cell holds the grand total.
-/// One kernel computes every cube, for all six aggregate kinds, over a
-/// ColumnCache's dictionary codes in two phases: (1) group the input rows
-/// into base cells keyed by the attributes' codes; (2) roll every base cell
-/// up into all 2^d ancestor cells of the lattice. COUNT(DISTINCT) rolls up
-/// its code sets, so it is exact (not sum-based). Both phases shard across
-/// CubeOptions::pool when one is supplied (see DESIGN.md §6 for the
-/// determinism guarantee).
+/// One kernel, ComputeCubes below, computes every cube; Compute is a thin
+/// adapter over it.
 ///
 /// Thread-safety: a computed DataCube is immutable; all const accessors
 /// are safe to call concurrently.
@@ -45,23 +40,12 @@ class DataCube {
  public:
   /// Computes the cube of `agg` over the rows of `universal` satisfying
   /// `filter` (nullptr = all rows), grouped by `attributes`: encodes the
-  /// columns privately and runs the kernel below.
+  /// columns privately and runs ComputeCubes.
   [[nodiscard]] static Result<DataCube> Compute(const UniversalRelation& universal,
                                   const std::vector<ColumnRef>& attributes,
                                   const AggregateSpec& agg,
                                   const DnfPredicate* filter,
                                   const CubeOptions& options = CubeOptions());
-
-  /// The cube kernel: the cube of `agg` over the universal rows `rows`
-  /// (ascending positions in `cache`), grouped by `attributes`. `cache`
-  /// must hold every attribute and, unless `agg` is COUNT(*), the
-  /// aggregated column, which SUM/MIN/MAX/AVG need numeric. A grouping
-  /// value may be NULL only in rows outside `rows` (a NULL would read as
-  /// the lattice's ALL); otherwise the cube is kInvalidArgument.
-  [[nodiscard]] static Result<DataCube> Compute(
-      const ColumnCache& cache, const std::vector<ColumnRef>& attributes,
-      const AggregateSpec& agg, const std::vector<uint32_t>& rows,
-      const CubeOptions& options = CubeOptions());
 
   /// Rewraps an existing cell map as a DataCube without recomputation —
   /// the adoption point for incrementally maintained cubes
@@ -97,6 +81,50 @@ class DataCube {
   std::vector<ColumnRef> attributes_;
   CellMap cells_;
 };
+
+/// One subquery of a ComputeCubes call: the cube of `agg` over the input
+/// rows that pass `filter`.
+/// Thread-safety: plain data, externally synchronized.
+struct CubeQuery {
+  AggregateSpec agg;
+  /// Non-owning; must outlive the call. nullptr passes every row.
+  const DnfPredicate* filter = nullptr;
+  /// Also return each cell's count of filter-passing rows (the liveness
+  /// sidecar of a maintained cube, DESIGN.md §10).
+  bool row_counts = false;
+};
+
+/// One CubeQuery's cube from ComputeCubes.
+/// Thread-safety: plain data, externally synchronized.
+struct CubeResult {
+  /// kInvalidArgument when a filter-passing row groups a data NULL into a
+  /// base cell (a NULL would read as the lattice's ALL); `cube` is then
+  /// empty.
+  Status status;
+  DataCube cube;
+  /// When asked for: per cell of `cube`, the number of filter-passing
+  /// rows that reach it.
+  DataCube::CellMap row_counts;
+};
+
+/// The cube kernel: the cubes of `queries` (at most 64) over the input
+/// rows `rows` (ascending positions in `cache`; nullptr = every cached
+/// row), grouped by `attributes`, in one scan of the input. The scan builds
+/// each row's cell key once and marks the subqueries whose filter it
+/// passes; subqueries with the same AggregateSpec share one per-cell
+/// state array. Cells live in a dense array over the whole lattice when
+/// it is small against the input, else in hash maps keyed by the packed
+/// codes (DESIGN.md §6). Both the scan and the roll-up shard across
+/// CubeOptions::pool.
+///
+/// `cache` must hold every attribute, every filter column and every
+/// non-COUNT(*) aggregated column, which SUM/MIN/MAX/AVG need numeric.
+/// Argument errors fail the call; the NULL rule fails only the cubes it
+/// hits (CubeResult::status). Returns one result per query, in order.
+[[nodiscard]] Result<std::vector<CubeResult>> ComputeCubes(
+    const ColumnCache& cache, const std::vector<ColumnRef>& attributes,
+    const std::vector<CubeQuery>& queries, const std::vector<uint32_t>* rows,
+    const CubeOptions& options = CubeOptions());
 
 /// The full outer join of m cubes over identical attribute lists: one row
 /// per coordinate appearing in any cube, with that cube's value or 0

@@ -180,7 +180,15 @@ Result<std::string> ParseColumnName(Cursor* cur) {
   return name;
 }
 
-Result<Value> ParseLiteral(Cursor* cur) {
+/// ParseError for input nested deeper than kMaxParseDepth.
+Status CheckDepth(int depth) {
+  if (depth <= kMaxParseDepth) return Status::OK();
+  return Status::ParseError("nesting deeper than " +
+                            std::to_string(kMaxParseDepth) + " levels");
+}
+
+Result<Value> ParseLiteral(Cursor* cur, int depth = 0) {
+  XPLAIN_RETURN_IF_ERROR(CheckDepth(depth));
   const Token& t = cur->Peek();
   switch (t.kind) {
     case TokenKind::kString: {
@@ -204,7 +212,7 @@ Result<Value> ParseLiteral(Cursor* cur) {
     case TokenKind::kSymbol: {
       if (t.text == "-") {
         cur->Next();
-        XPLAIN_ASSIGN_OR_RETURN(Value v, ParseLiteral(cur));
+        XPLAIN_ASSIGN_OR_RETURN(Value v, ParseLiteral(cur, depth + 1));
         if (v.type() == DataType::kInt64) return Value::Int(-v.AsInt());
         if (v.type() == DataType::kDouble) return Value::Real(-v.AsDouble());
         return Status::ParseError("cannot negate " + v.ToString());
@@ -224,14 +232,17 @@ class ExpressionParser {
   ExpressionParser(Cursor* cur, const std::vector<std::string>& variables)
       : cur_(cur), variables_(variables) {}
 
-  Result<ExprPtr> ParseSum() {
-    XPLAIN_ASSIGN_OR_RETURN(ExprPtr lhs, ParseProduct());
+  /// `depth` counts the enclosing parentheses, function calls, unary
+  /// minus signs and '^' operands.
+  Result<ExprPtr> ParseSum(int depth = 0) {
+    XPLAIN_RETURN_IF_ERROR(CheckDepth(depth));
+    XPLAIN_ASSIGN_OR_RETURN(ExprPtr lhs, ParseProduct(depth));
     while (true) {
       if (cur_->ConsumeSymbol("+")) {
-        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParseProduct());
+        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParseProduct(depth));
         lhs = Expression::Binary(Expression::BinaryOp::kAdd, lhs, rhs);
       } else if (cur_->ConsumeSymbol("-")) {
-        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParseProduct());
+        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParseProduct(depth));
         lhs = Expression::Binary(Expression::BinaryOp::kSub, lhs, rhs);
       } else {
         return lhs;
@@ -240,14 +251,14 @@ class ExpressionParser {
   }
 
  private:
-  Result<ExprPtr> ParseProduct() {
-    XPLAIN_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePower());
+  Result<ExprPtr> ParseProduct(int depth) {
+    XPLAIN_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePower(depth));
     while (true) {
       if (cur_->ConsumeSymbol("*")) {
-        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower());
+        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower(depth));
         lhs = Expression::Binary(Expression::BinaryOp::kMul, lhs, rhs);
       } else if (cur_->ConsumeSymbol("/")) {
-        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower());
+        XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower(depth));
         lhs = Expression::Binary(Expression::BinaryOp::kDiv, lhs, rhs);
       } else {
         return lhs;
@@ -255,24 +266,27 @@ class ExpressionParser {
     }
   }
 
-  Result<ExprPtr> ParsePower() {
-    XPLAIN_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
+  Result<ExprPtr> ParsePower(int depth) {
+    XPLAIN_RETURN_IF_ERROR(CheckDepth(depth));
+    XPLAIN_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary(depth));
     if (cur_->ConsumeSymbol("^")) {
-      XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower());  // right-assoc
+      // Right-associative.
+      XPLAIN_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower(depth + 1));
       return Expression::Binary(Expression::BinaryOp::kPow, lhs, rhs);
     }
     return lhs;
   }
 
-  Result<ExprPtr> ParseUnary() {
+  Result<ExprPtr> ParseUnary(int depth) {
+    XPLAIN_RETURN_IF_ERROR(CheckDepth(depth));
     if (cur_->ConsumeSymbol("-")) {
-      XPLAIN_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      XPLAIN_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary(depth + 1));
       return Expression::Unary(Expression::UnaryOp::kNeg, operand);
     }
-    return ParseAtom();
+    return ParseAtom(depth);
   }
 
-  Result<ExprPtr> ParseAtom() {
+  Result<ExprPtr> ParseAtom(int depth) {
     const Token& t = cur_->Peek();
     if (t.kind == TokenKind::kNumber) {
       XPLAIN_ASSIGN_OR_RETURN(
@@ -280,7 +294,7 @@ class ExpressionParser {
       return Expression::Constant(v.AsDouble());
     }
     if (cur_->ConsumeSymbol("(")) {
-      XPLAIN_ASSIGN_OR_RETURN(ExprPtr inner, ParseSum());
+      XPLAIN_ASSIGN_OR_RETURN(ExprPtr inner, ParseSum(depth + 1));
       XPLAIN_RETURN_IF_ERROR(cur_->Expect(")"));
       return inner;
     }
@@ -302,7 +316,7 @@ class ExpressionParser {
           return Status::ParseError("unknown function: " + name);
         }
         cur_->Next();  // '('
-        XPLAIN_ASSIGN_OR_RETURN(ExprPtr inner, ParseSum());
+        XPLAIN_ASSIGN_OR_RETURN(ExprPtr inner, ParseSum(depth + 1));
         XPLAIN_RETURN_IF_ERROR(cur_->Expect(")"));
         return Expression::Unary(op, inner);
       }
@@ -393,6 +407,11 @@ Result<ExprPtr> ParseExpression(const std::string& text,
                                 const std::vector<std::string>& variables) {
   Tokenizer tokenizer(text);
   XPLAIN_ASSIGN_OR_RETURN(std::vector<Token> tokens, tokenizer.Tokenize());
+  if (tokens.size() > kMaxExpressionTokens) {
+    return Status::ParseError("expression has more than " +
+                              std::to_string(kMaxExpressionTokens) +
+                              " tokens");
+  }
   Cursor cur(std::move(tokens));
   ExpressionParser parser(&cur, variables);
   XPLAIN_ASSIGN_OR_RETURN(ExprPtr expr, parser.ParseSum());

@@ -1,6 +1,7 @@
 #ifndef XPLAIN_RELATIONAL_PARSER_H_
 #define XPLAIN_RELATIONAL_PARSER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,17 @@
 #include "util/result.h"
 
 namespace xplain {
+
+/// The deepest nesting a parser accepts: parentheses, function calls,
+/// unary minus and '^' operands in an expression, and stacked minus signs
+/// on a literal. Input past it is a ParseError, not a recursion that could
+/// exhaust the stack.
+inline constexpr int kMaxParseDepth = 64;
+
+/// The most tokens an expression may have. A chain of binary operators
+/// builds a tree as tall as the chain is long, and evaluating or freeing
+/// it recurses once per level; this bounds that height.
+inline constexpr size_t kMaxExpressionTokens = 4096;
 
 /// Parses a conjunctive predicate, e.g.
 ///   "Author.name = 'JG' AND Publication.year >= 2000"

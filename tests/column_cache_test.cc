@@ -57,11 +57,63 @@ TEST_F(ColumnCacheTest, CodedFilterMatchesRowPredicate) {
       expected.push_back(static_cast<uint32_t>(u));
     }
   }
-  EXPECT_EQ(filter.MatchingRows(cache), expected);
+  std::vector<uint32_t> matching;
+  for (size_t u = 0; u < cache.NumRows(); ++u) {
+    if (filter.Eval(cache, u)) matching.push_back(static_cast<uint32_t>(u));
+  }
+  EXPECT_EQ(matching, expected);
   EXPECT_EQ(expected.size(), 4u);
   // A filter over a column outside the cache does not compile.
   EXPECT_FALSE(
       CodedFilter::Compile(cache, Pred(db_, "Publication.year = 2001")).ok());
+}
+
+// FilterMasks sets bit b exactly on the rows passing filter b: a
+// single-conjunct filter (two atoms on one column), a multi-disjunct one,
+// nullptr (every row) and FALSE (no row).
+TEST_F(ColumnCacheTest, FilterMasksMatchRowPredicates) {
+  const DnfPredicate sigmod_2001 = UnwrapOrDie(ParseDnfPredicate(
+      db_, "Publication.venue = 'SIGMOD' AND Publication.year >= 2001 AND "
+           "Publication.year <= 2001"));
+  const DnfPredicate either = UnwrapOrDie(ParseDnfPredicate(
+      db_, "Publication.venue = 'PODS' OR Author.name = 'JG'"));
+  const DnfPredicate none;
+  ColumnCache cache = ColumnCache::Build(
+      *universal_, {*db_.ResolveColumn("Publication.venue"), year_, name_});
+  const FilterMasks masks = UnwrapOrDie(
+      FilterMasks::Compile(cache, {&sigmod_2001, &either, nullptr, &none}));
+  // Every row, in reverse order (a row list need not be contiguous).
+  std::vector<uint32_t> rows;
+  for (size_t u = universal_->NumRows(); u-- > 0;) {
+    rows.push_back(static_cast<uint32_t>(u));
+  }
+  std::vector<uint64_t> got(rows.size());
+  masks.Masks(cache, rows.data(), rows.size(), got.data());
+  size_t passing = 0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const size_t u = rows[r];
+    const uint64_t expected =
+        (sigmod_2001.EvalUniversal(*universal_, u) ? 1u : 0u) |
+        (either.EvalUniversal(*universal_, u) ? 2u : 0u) | 4u;
+    EXPECT_EQ(got[r], expected) << u;
+    passing += expected & 1u;
+  }
+  EXPECT_GT(passing, 0u);
+  // A filter over a column outside the cache does not compile.
+  const DnfPredicate outside = Pred(db_, "Publication.pubid = 'P1'");
+  EXPECT_FALSE(FilterMasks::Compile(cache, {&sigmod_2001, &outside}).ok());
+}
+
+/// The kernel's cube of `agg` over the input `rows`, unfiltered.
+Result<DataCube> KernelCube(const ColumnCache& cache,
+                            const std::vector<ColumnRef>& attributes,
+                            const AggregateSpec& agg,
+                            const std::vector<uint32_t>& rows) {
+  XPLAIN_ASSIGN_OR_RETURN(
+      std::vector<CubeResult> results,
+      ComputeCubes(cache, attributes, {CubeQuery{agg, nullptr, false}}, &rows));
+  XPLAIN_RETURN_IF_ERROR(results[0].status);
+  return std::move(results[0].cube);
 }
 
 /// Checks the kernel's cube of `agg` over the rows passing `where` against
@@ -78,9 +130,10 @@ void ExpectKernelMatchesNaive(const Database& db,
   q.where = UnwrapOrDie(ParseDnfPredicate(db, where));
   ColumnCache cache = ColumnCache::Build(
       universal, CubeColumns(attributes, {&q, 1}));
-  CodedFilter filter = UnwrapOrDie(CodedFilter::Compile(cache, q.where));
-  DataCube cube = UnwrapOrDie(DataCube::Compute(
-      cache, attributes, agg, filter.MatchingRows(cache)));
+  std::vector<CubeResult> results = UnwrapOrDie(ComputeCubes(
+      cache, attributes, {CubeQuery{agg, &q.where, false}}, nullptr));
+  ASSERT_TRUE(results[0].status.ok());
+  const DataCube& cube = results[0].cube;
   UserQuestion question;
   std::vector<AggregateQuery> subqueries = {q};
   question.query = UnwrapOrDie(NumericalQuery::Create(
@@ -113,21 +166,25 @@ TEST_F(ColumnCacheTest, KernelRejectsBadArguments) {
   ColumnCache cache = ColumnCache::Build(*universal_, {name_, year_});
   const std::vector<uint32_t> rows = {0, 1, 2};
   // No attributes; an attribute or counted column outside the cache.
+  EXPECT_FALSE(KernelCube(cache, {}, AggregateSpec::CountStar(), rows).ok());
   EXPECT_FALSE(
-      DataCube::Compute(cache, {}, AggregateSpec::CountStar(), rows).ok());
+      KernelCube(cache, {pubid_}, AggregateSpec::CountStar(), rows).ok());
   EXPECT_FALSE(
-      DataCube::Compute(cache, {pubid_}, AggregateSpec::CountStar(), rows)
+      KernelCube(cache, {name_}, AggregateSpec::CountDistinct(pubid_), rows)
           .ok());
-  EXPECT_FALSE(DataCube::Compute(cache, {name_},
-                                 AggregateSpec::CountDistinct(pubid_), rows)
-                   .ok());
   // MIN over a string column has no numeric cell value.
-  auto min_name = DataCube::Compute(
-      cache, {year_}, AggregateSpec{AggregateKind::kMin, name_}, rows);
+  auto min_name =
+      KernelCube(cache, {year_}, AggregateSpec{AggregateKind::kMin, name_}, rows);
   EXPECT_EQ(min_name.status().code(), StatusCode::kInvalidArgument);
+  // More than 64 subqueries do not fit one pass's masks.
+  EXPECT_EQ(ComputeCubes(cache, {name_},
+                         std::vector<CubeQuery>(65, CubeQuery{}), &rows)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   // MAX over a numeric one is fine.
-  DataCube max_year = UnwrapOrDie(DataCube::Compute(
-      cache, {name_}, AggregateSpec{AggregateKind::kMax, year_}, rows));
+  DataCube max_year = UnwrapOrDie(
+      KernelCube(cache, {name_}, AggregateSpec{AggregateKind::kMax, year_}, rows));
   EXPECT_GT(max_year.GrandTotal(), 2000.0);
 }
 

@@ -1,7 +1,9 @@
 // Differential test of the cube kernel and the workspace's table-M path
-// (DESIGN.md §10): ComputeTableM groups every aggregate kind on dictionary
-// codes, from the workspace's per-column store when there is one, and
-// reads its counting u_j off the cube apexes. Over seeded random
+// (DESIGN.md §10): ComputeTableM builds all of a question's missing cubes
+// in one kernel call, grouping every aggregate kind on dictionary codes
+// on a dense lattice or in hashed cells, from the workspace's per-column
+// store when there is one, and reads its counting u_j off the cube
+// apexes. Over seeded random
 // instances, every table must match the naive oracle (ComputeTableMNaive)
 // and NumericalQuery::EvaluateOnUniversal bit for bit, across pool sizes
 // and before and after a CommitDelta remap, while the store holds each
@@ -309,6 +311,139 @@ TEST(ColumnStoreTest, EveryAggregateKindAcrossPoolSizes) {
   }
 }
 
+/// One question whose kernel call takes several passes (COUNT(*),
+/// COUNT(DISTINCT), int64 SUM and MIN, two of them shared by two
+/// subqueries), with a multi-disjunct filter beside conjunctive ones, a
+/// filter on a grouping attribute and an empty WHERE. On 60 rows over a
+/// 4 x 4 lattice, pools of 1 and 2 take the dense path and 8 the hashed
+/// one; every table matches the oracle bit for bit.
+Case MixedPassesCase(const Database& db) {
+  return MakeCase(db, {"Fact.a", "Fact.b"},
+                  {{"count(*)", "Fact.a = 'a0' AND Fact.c = 'c1'"},
+                   {"count(distinct Fact.v)", "Fact.b = 'b1' OR Dim.dv = 'x'"},
+                   {"sum(Fact.v)", ""},
+                   {"min(Fact.v)", "Fact.c = 'c0'"},
+                   {"count(*)", "Fact.c = 'c0'"},
+                   {"sum(Fact.v)", "Fact.a <> 'a2'"}},
+                  "q1 + q2 - q3 + q4 * q5 - q6");
+}
+
+TEST(ColumnStoreTest, FusedPassesMatchOracleOnBothPaths) {
+  for (const uint64_t seed : {5u, 17u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database db = MakeDb(seed);
+    const UniversalRelation universal =
+        UnwrapOrDie(UniversalRelation::Build(db));
+    const Case c = MixedPassesCase(db);
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ThreadPool pool(threads);
+      TableMOptions options;
+      options.cube.pool = &pool;
+      ExpectMatchesOracles(
+          universal, c,
+          UnwrapOrDie(
+              ComputeTableM(universal, c.question, c.attributes, options)));
+    }
+  }
+}
+
+// A workspace holding some of a question's cubes: the kernel computes
+// only the others, and the table is the same as a cold one.
+TEST(ColumnStoreTest, PartlyHeldQuestionMatchesOracle) {
+  Database db = MakeDb(17);
+  const UniversalRelation universal =
+      UnwrapOrDie(UniversalRelation::Build(db));
+  const Case c = MixedPassesCase(db);
+  UserQuestion first;
+  std::vector<AggregateQuery> held = {c.question.query.subqueries()[0],
+                                      c.question.query.subqueries()[3]};
+  first.query = UnwrapOrDie(NumericalQuery::Create(
+      std::move(held), UnwrapOrDie(ParseExpression("q1 - q4", {"q1", "q4"}))));
+  CubeWorkspace workspace;
+  TableMOptions options;
+  options.workspace = &workspace;
+  UnwrapOrDie(ComputeTableM(universal, first, c.attributes, options));
+  const CubeWorkspaceStats before = workspace.GetStats();
+  EXPECT_EQ(before.cube_entries, 2u);
+
+  const TableM table =
+      UnwrapOrDie(ComputeTableM(universal, c.question, c.attributes, options));
+  ExpectMatchesOracles(universal, c, table);
+  const CubeWorkspaceStats after = workspace.GetStats();
+  EXPECT_EQ(after.cube_hits - before.cube_hits, 2);
+  EXPECT_EQ(after.cube_misses - before.cube_misses, 4);
+  ExpectSameTable(table, UnwrapOrDie(ComputeTableM(universal, c.question,
+                                                   c.attributes)));
+}
+
+// The same question on the hashed path with code-vector keys (a maintained
+// engine whose held dictionaries keep 70000 codes per attribute after a
+// delta) and on the dense path (a fresh engine over the 4096 survivors,
+// whose lattice has 4^4 cells): identical tables, both equal to the oracle.
+TEST(ColumnStoreTest, DenseAndWideHashedPathsAgree) {
+  constexpr int64_t kRows = 70000;
+  constexpr int64_t kKept = 4096;
+  Relation wide(std::move(*RelationSchema::Create(
+      "Wide",
+      {{"id", DataType::kInt64},
+       {"a", DataType::kInt64},
+       {"b", DataType::kInt64},
+       {"c", DataType::kInt64},
+       {"e", DataType::kInt64},
+       {"v", DataType::kInt64}},
+      {"id"})));
+  for (int64_t i = 0; i < kRows; ++i) {
+    // Survivors take 3 values per attribute; the deleted rows each a
+    // value of their own.
+    auto code = [&](int64_t salt) {
+      return Value::Int(i < kKept ? (i * salt) % 3 : i + salt * kRows);
+    };
+    wide.AppendUnchecked({Value::Int(i), code(1), code(5), code(7), code(11),
+                          i % 7 == 0 ? Value::Null() : Value::Int(i % 5)});
+  }
+  Database db;
+  XPLAIN_CHECK(db.AddRelation(std::move(wide)).ok());
+  UniversalRelation universal = UnwrapOrDie(UniversalRelation::Build(db));
+  const Case c = MakeCase(db, {"Wide.a", "Wide.b", "Wide.c", "Wide.e"},
+                          {{"count(*)", "Wide.v <> 4"},
+                           {"count(distinct Wide.v)", ""},
+                           {"sum(Wide.v)", "Wide.a = 1 OR Wide.b = 2"},
+                           {"min(Wide.v)", "Wide.c <> 0"}},
+                          "q1 + q2 + q3 + q4");
+  std::vector<ColumnRef> columns = c.attributes;
+  columns.push_back(UnwrapOrDie(db.ResolveColumn("Wide.v")));
+  CubeWorkspace workspace;
+  workspace.Columns(universal, columns);
+  DeltaSet delta = db.EmptyDelta();
+  for (int64_t i = kKept; i < kRows; ++i) delta[0].Set(static_cast<size_t>(i));
+  workspace.BeginDelta();
+  DeltaPlan plan = db.PlanDelta(delta);
+  UniversalRemap remap = universal.PlanRemap(plan);
+  CubeWorkspace::Patch patch = workspace.PlanDelta(universal, remap);
+  ASSERT_EQ(db.ApplyDeltaPlan(plan), static_cast<size_t>(kRows - kKept));
+  workspace.CommitDelta(std::move(patch), remap);
+  universal.AdoptRows(std::move(remap));
+  EXPECT_GT(workspace.Columns(universal, c.attributes).DictionarySize(0),
+            size_t{65535});
+
+  const UniversalRelation fresh = UnwrapOrDie(UniversalRelation::Build(db));
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    TableMOptions hashed;
+    hashed.workspace = &workspace;
+    hashed.cube.pool = &pool;
+    TableMOptions dense;
+    dense.cube.pool = &pool;
+    const TableM wide_table =
+        UnwrapOrDie(ComputeTableM(universal, c.question, c.attributes, hashed));
+    ExpectMatchesOracles(fresh, c, wide_table);
+    ExpectSameTable(wide_table, UnwrapOrDie(ComputeTableM(
+                                    fresh, c.question, c.attributes, dense)));
+  }
+}
+
 /// The maintained kinds through a workspace and a delta: PlanDelta's
 /// removal cubes and its recomputation over the survivors must leave
 /// every cube equal to a fresh one on the mutated database.
@@ -469,6 +604,65 @@ TEST(ColumnStoreTest, NullGroupingValueOutsideTheFilterIsAnswered) {
   ASSERT_EQ(tables[0].NumRows(), tables[1].NumRows());
   for (size_t row = 0; row < tables[0].NumRows(); ++row) {
     EXPECT_EQ(CompareTuples(tables[0].coords[row], tables[1].coords[row]), 0);
+  }
+}
+
+// The NULL rule and an all-NULL group on both paths: over T's 4 rows a
+// 1-thread pool keeps T.a's 4-cell lattice dense, a 2-thread one hashes
+// it. The group a = 'z' only holds NULL values of w: its cells exist,
+// valued 0, for every aggregate of w.
+TEST(ColumnStoreTest, NullRulesHoldOnDenseAndHashedPaths) {
+  Database db = MakeNullDb();
+  const UniversalRelation universal =
+      UnwrapOrDie(UniversalRelation::Build(db));
+  const Case kept = MakeCase(db, {"T.a"},
+                             {{"count(*)", "T.v >= 3"}, {"sum(T.v)", "T.v >= 3"}},
+                             "q1 - q2");
+  const Case taking_part =
+      MakeCase(db, {"T.a"}, {{"count(*)", "T.v >= 3"}, {"max(T.v)", ""}},
+               "q1 - q2");
+  Relation u(std::move(*RelationSchema::Create(
+      "U",
+      {{"id", DataType::kInt64},
+       {"a", DataType::kString},
+       {"w", DataType::kInt64}},
+      {"id"})));
+  u.AppendUnchecked({Value::Int(1), Value::Str("x"), Value::Int(4)});
+  u.AppendUnchecked({Value::Int(2), Value::Str("z"), Value::Null()});
+  u.AppendUnchecked({Value::Int(3), Value::Str("z"), Value::Null()});
+  u.AppendUnchecked({Value::Int(4), Value::Str("x"), Value::Int(2)});
+  Database null_values;
+  XPLAIN_CHECK(null_values.AddRelation(std::move(u)).ok());
+  const UniversalRelation null_universal =
+      UnwrapOrDie(UniversalRelation::Build(null_values));
+  const Case all_null = MakeCase(
+      null_values, {"U.a"},
+      {{"sum(U.w)", ""}, {"min(U.w)", ""}, {"count(distinct U.w)", ""},
+       {"avg(U.w)", ""}},
+      "q1 + q2 + q3 + q4");
+  const Tuple z = {Value::Str("z")};
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    TableMOptions options;
+    options.cube.pool = &pool;
+    ExpectMatchesOracles(universal, kept,
+                         UnwrapOrDie(ComputeTableM(universal, kept.question,
+                                                   kept.attributes, options)));
+    EXPECT_EQ(ComputeTableM(universal, taking_part.question,
+                            taking_part.attributes, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+
+    const TableM table = UnwrapOrDie(ComputeTableM(
+        null_universal, all_null.question, all_null.attributes, options));
+    const int64_t row = table.FindRow(z);
+    ASSERT_GE(row, 0);
+    EXPECT_EQ(table.cube_mask[row], 0xfu);
+    for (const std::vector<double>& values : table.subquery_values) {
+      EXPECT_EQ(values[row], 0.0);
+    }
   }
 }
 

@@ -109,6 +109,33 @@ TEST_F(CubeTest, FullOuterJoinFillsZeros) {
   }
 }
 
+// Joined rows come out in CompareTuples order (NULL = ALL first in each
+// coordinate), whatever order the cubes hold their cells in, with each
+// cube's value and presence on the row of its coordinate.
+TEST_F(CubeTest, FullOuterJoinRowsAreInCanonicalOrder) {
+  DnfPredicate y2001 = Pred(db_, "Publication.year = 2001");
+  DataCube c1 = UnwrapOrDie(DataCube::Compute(
+      *universal_, {name_, year_}, AggregateSpec::CountStar(), &y2001));
+  DataCube c2 = UnwrapOrDie(DataCube::Compute(
+      *universal_, {name_, year_}, AggregateSpec::CountStar(), nullptr));
+  CubeJoinResult joined = UnwrapOrDie(FullOuterJoinCubes({&c1, &c2}));
+  ASSERT_EQ(joined.NumRows(), c2.NumCells());
+  for (size_t row = 0; row < joined.NumRows(); ++row) {
+    if (row > 0) {
+      EXPECT_LT(CompareTuples(joined.coords[row - 1], joined.coords[row]), 0)
+          << TupleToString(joined.coords[row]);
+    }
+    for (size_t j = 0; j < 2; ++j) {
+      const DataCube& cube = j == 0 ? c1 : c2;
+      const bool present = cube.cells().count(joined.coords[row]) > 0;
+      EXPECT_EQ(joined.present[j][row], present ? 1 : 0);
+      EXPECT_EQ(joined.values[j][row], cube.CellValue(joined.coords[row]));
+    }
+  }
+  EXPECT_TRUE(joined.coords[0][0].is_null());
+  EXPECT_TRUE(joined.coords[0][1].is_null());
+}
+
 TEST_F(CubeTest, FullOuterJoinValidatesInputs) {
   DataCube c1 = UnwrapOrDie(DataCube::Compute(
       *universal_, {name_}, AggregateSpec::CountStar(), nullptr));

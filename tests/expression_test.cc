@@ -93,6 +93,48 @@ TEST(ParseExpressionTest, Errors) {
   EXPECT_FALSE(ParseExpression("q1 q2", {"q1", "q2"}).ok());
 }
 
+/// `n` copies of `unit`.
+std::string Repeat(const std::string& unit, size_t n) {
+  std::string out;
+  out.reserve(unit.size() * n);
+  for (size_t i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+// Nesting past kMaxParseDepth is a ParseError, not a stack overflow: each
+// shape fits a 1 MiB request line.
+TEST(ParseExpressionTest, DeepNestingIsRefused) {
+  const std::vector<std::string> q1 = {"q1"};
+  auto refused = [&](const std::string& text) {
+    return ParseExpression(text, q1).status().code() ==
+           StatusCode::kParseError;
+  };
+  EXPECT_TRUE(refused(Repeat("(", 10000)));
+  EXPECT_TRUE(refused(Repeat("(", 10000) + "q1" + Repeat(")", 10000)));
+  EXPECT_TRUE(refused("q1" + Repeat("^q1", 100000)));
+  EXPECT_TRUE(refused(Repeat("-", 100000) + "q1"));
+  EXPECT_TRUE(refused(Repeat("abs(", 10000) + "q1" + Repeat(")", 10000)));
+  // A chain of binary operators nests no deeper but builds a tree as tall
+  // as the chain: the token cap bounds it.
+  EXPECT_TRUE(refused("q1" + Repeat("+q1", 100000)));
+
+  // At the cap, each shape still parses.
+  const size_t depth = static_cast<size_t>(kMaxParseDepth);
+  ExprPtr parens = UnwrapOrDie(ParseExpression(
+      Repeat("(", depth) + "q1" + Repeat(")", depth), q1));
+  EXPECT_DOUBLE_EQ(parens->Eval({2}, kOpts), 2.0);
+  ExprPtr negs = UnwrapOrDie(ParseExpression(Repeat("-", depth) + "q1", q1));
+  EXPECT_DOUBLE_EQ(negs->Eval({2}, kOpts), 2.0);  // an even count
+  ExprPtr powers =
+      UnwrapOrDie(ParseExpression("q1" + Repeat("^q1", depth), q1));
+  EXPECT_DOUBLE_EQ(powers->Eval({1}, kOpts), 1.0);
+  ExprPtr chain = UnwrapOrDie(ParseExpression(
+      "q1" + Repeat("+q1", (kMaxExpressionTokens - 1) / 2), q1));
+  EXPECT_DOUBLE_EQ(chain->Eval({1}, kOpts),
+                   static_cast<double>((kMaxExpressionTokens + 1) / 2));
+  EXPECT_TRUE(refused(Repeat("(", depth + 1) + "q1" + Repeat(")", depth + 1)));
+}
+
 TEST(ExpressionToStringTest, Rendering) {
   ExprPtr e = UnwrapOrDie(ParseExpression("(q1 / q2) / (q3 / q4)",
                                           {"q1", "q2", "q3", "q4"}));

@@ -124,6 +124,23 @@ TEST(ParsePredicateTest, NegativeNumbersAndDoubles) {
   EXPECT_EQ(phi.atoms()[0].constant.AsInt(), -1);
 }
 
+// Stacked minus signs on a literal recurse once each; past kMaxParseDepth
+// they are a ParseError, not a stack overflow.
+TEST(ParsePredicateTest, DeeplyNegatedLiteralIsRefused) {
+  Database db = BuildRunningExample();
+  const std::string minuses(100000, '-');
+  EXPECT_EQ(ParseDnfPredicate(db, "Publication.year = " + minuses + "5")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(
+      ParsePredicate(db, "Publication.year = " + minuses + "5").status().code(),
+      StatusCode::kParseError);
+  const std::string at_cap(static_cast<size_t>(kMaxParseDepth), '-');
+  ConjunctivePredicate phi = Pred(db, "Publication.year = " + at_cap + "5");
+  EXPECT_EQ(phi.atoms()[0].constant.AsInt(), 5);  // an even count
+}
+
 TEST(PredicateToStringTest, Rendering) {
   Database db = BuildRunningExample();
   ConjunctivePredicate phi =

@@ -20,6 +20,7 @@
 #include "server/protocol.h"
 #include "server/service.h"
 #include "tests/test_util.h"
+#include "util/metrics.h"
 
 namespace xplain {
 namespace server {
@@ -281,6 +282,81 @@ TEST(XplaindServiceTest, StringMinMaxSubqueryIsRejectedNotFatal) {
       service->HandleLine(line(id, "EXPLAIN", "max(Publication.year)"));
   EXPECT_NE(good.find("\"ok\":true"), std::string::npos) << good;
   EXPECT_EQ(service->GetStats().served, 1);
+}
+
+// Expressions and filters nested past the parser's depth cap, each well
+// under the 1 MiB line cap, get a ParseError response; the service keeps
+// serving.
+TEST(XplaindServiceTest, DeeplyNestedInputIsRejectedNotFatal) {
+  auto service = UnwrapOrDie(
+      XplaindService::Create(::xplain::testing::BuildRunningExample()));
+  auto line = [](int id, const std::string& expr, const std::string& where) {
+    return "{\"id\":" + std::to_string(id) +
+           ",\"op\":\"EXPLAIN\",\"question\":{\"subqueries\":[{\"name\":"
+           "\"q1\",\"agg\":\"count(*)\",\"where\":\"" + where +
+           "\"}],\"expr\":\"" + expr +
+           "\"},\"attrs\":[\"Publication.venue\"]}";
+  };
+  std::string power_chain = "q1";
+  for (int i = 0; i < 100000; ++i) power_chain += "^q1";
+  const std::vector<std::pair<std::string, std::string>> shapes = {
+      {std::string(10000, '(') + "q1" + std::string(10000, ')'), ""},
+      {power_chain, ""},
+      {"q1", "Publication.year = " + std::string(100000, '-') + "5"},
+  };
+  int id = 1;
+  for (const auto& [expr, where] : shapes) {
+    const std::string bad = service->HandleLine(line(id++, expr, where));
+    EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << bad.substr(0, 200);
+    EXPECT_NE(bad.find("ParseError"), std::string::npos) << bad.substr(0, 200);
+  }
+  const std::string good = service->HandleLine(line(id, "q1", ""));
+  EXPECT_NE(good.find("\"ok\":true"), std::string::npos) << good;
+  EXPECT_EQ(service->GetStats().served, 1);
+}
+
+// A question with more subqueries than one cube pass covers is refused on
+// every engine path before any cube is looked up or built.
+TEST(XplaindServiceTest, TooManySubqueriesAreRejectedBeforeCubeWork) {
+  auto service = UnwrapOrDie(
+      XplaindService::Create(::xplain::testing::BuildRunningExample()));
+  std::string subqueries;
+  for (int i = 1; i <= 1000; ++i) {
+    if (i > 1) subqueries += ",";
+    subqueries += "{\"name\":\"q" + std::to_string(i) +
+                  "\",\"agg\":\"count(*)\",\"where\":\"\"}";
+  }
+  auto line = [&](int id, const std::string& extra) {
+    return "{\"id\":" + std::to_string(id) +
+           ",\"op\":\"EXPLAIN\",\"question\":{\"subqueries\":[" +
+           subqueries +
+           "],\"expr\":\"q1\"},\"attrs\":[\"Publication.venue\"]" + extra +
+           "}";
+  };
+  auto cube_lookups = [] {
+    double lookups = 0.0;
+    for (const auto& [name, value] :
+         MetricsRegistry::Global().CounterSnapshot()) {
+      if (name == "workspace.cube_hits" || name == "workspace.cube_misses") {
+        lookups += value;
+      }
+    }
+    return lookups;
+  };
+  const double before = cube_lookups();
+  int id = 1;
+  for (const std::string& path :
+       {std::string(), std::string(",\"partial\":true"),
+        std::string(",\"options\":{\"use_cube\":false}")}) {
+    const std::string bad = service->HandleLine(line(id++, path));
+    EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << path;
+    EXPECT_NE(bad.find("InvalidArgument"), std::string::npos) << path;
+    EXPECT_NE(bad.find("at most 64 subqueries"), std::string::npos) << path;
+  }
+  EXPECT_EQ(cube_lookups(), before);
+  subqueries = "{\"name\":\"q1\",\"agg\":\"count(*)\",\"where\":\"\"}";
+  const std::string good = service->HandleLine(line(id, ""));
+  EXPECT_NE(good.find("\"ok\":true"), std::string::npos) << good;
 }
 
 TEST(XplaindServiceTest, ApplyDeltaInvalidatesCacheAndChangesAnswers) {
