@@ -1,13 +1,14 @@
 // Mixed read/write serving: the cost of one tuple delta through xplaind,
-// incremental maintenance vs the legacy full rebuild (DESIGN.md §10).
+// incremental maintenance vs a full rebuild (DESIGN.md §10).
 //
 // Two identically warmed services over the same natality instance each
-// apply the same 1% delta of race='White' Birth rows. The incremental
-// service plans under a reader lock, patches the cube workspace, and
+// take the same 1% delta of race='White' Birth rows. The first applies
+// it: it plans under a reader lock, patches the cube workspace, and
 // re-keys the cache entries the delta did not touch (the Asian-only
 // Q_Race family survives; the Q_Marital family is targeted-invalidated).
-// The legacy service copies the database, rebuilds the engine, and wipes
-// the cache under the writer lock.
+// The rebuild baseline instead closes the delta, copies the database
+// without the deleted rows (Database::ApplyDelta), and builds a fresh
+// service over the copy, whose cache starts empty.
 //
 // Emits BENCH_delta.json:
 //   {"bench": "delta", "records": [
@@ -40,7 +41,6 @@ using xplain::bench::JsonReporter;
 using xplain::bench::PrintHeader;
 using xplain::bench::PrintRow;
 using xplain::bench::Unwrap;
-using xplain::server::ServiceOptions;
 using xplain::server::XplaindService;
 
 /// TOPK form of the paper's Q_Race, Asian-only on both sides: a delta
@@ -134,27 +134,38 @@ struct DeltaRun {
   XplaindService::Stats stats;
 };
 
-/// Warms the mix, applies one `delta_rows`-row delta, replays the mix, and
+/// Warms the mix, takes one `delta_rows`-row delta (applied in place, or
+/// as a fresh service over the rebuilt database), replays the mix, and
 /// reports the delta wall time plus how many replayed requests were still
 /// cache hits afterwards.
 DeltaRun RunService(Database db, bool incremental, size_t delta_rows,
                     const std::vector<std::string>& lines) {
-  ServiceOptions options;
-  options.incremental_deltas = incremental;
-  auto service =
-      Unwrap(XplaindService::Create(std::move(db), options), "service");
+  auto service = Unwrap(XplaindService::Create(std::move(db)), "service");
 
   RunLines(service.get(), lines);  // cold: populate
   RunLines(service.get(), lines);  // warm: all hits
-  const int64_t hits_before_delta = service->GetStats().cache_hits;
+  int64_t hits_before_delta = service->GetStats().cache_hits;
 
   const DeltaSet delta = WhiteDelta(*service, delta_rows);
   Stopwatch watch;
-  const xplain::Status applied = service->ApplyDelta(delta);
+  std::unique_ptr<XplaindService> rebuilt;
+  if (incremental) {
+    const xplain::Status applied = service->ApplyDelta(delta);
+    if (!applied.ok()) {
+      std::cerr << "bench error: " << applied.ToString() << std::endl;
+      std::exit(1);
+    }
+  } else {
+    DeltaSet closed = delta;
+    xplain::MarkDanglingRows(service->db(), &closed);
+    rebuilt = Unwrap(
+        XplaindService::Create(service->db().ApplyDelta(closed)), "service");
+  }
   const double delta_us = watch.ElapsedMillis() * 1000.0;
-  if (!applied.ok()) {
-    std::cerr << "bench error: " << applied.ToString() << std::endl;
-    std::exit(1);
+  if (rebuilt != nullptr) {  // retire the old service outside the timer
+    service->Drain();
+    service = std::move(rebuilt);
+    hits_before_delta = 0;
   }
 
   RunLines(service.get(), lines);  // post-delta: survivors hit, rest recompute

@@ -146,7 +146,7 @@ int main() {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     TableMOptions mopts;
-    mopts.cube.pool = pool.get();
+    mopts.pool = pool.get();
     Stopwatch watch;
     TableM table = Unwrap(ComputeTableM(par_u, par_question, par_attrs, mopts));
     double seconds = watch.ElapsedSeconds();

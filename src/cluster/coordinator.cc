@@ -41,13 +41,12 @@ StatusCode CodeFromName(const std::string& name) {
   return StatusCode::kInternal;
 }
 
-/// Decodes an ok:false shard response into its Status; returns OK for
-/// ok:true responses.
-Status StatusOfResponse(const JsonValue& json) {
+/// Parses one shard response line; an ok:false response becomes the
+/// Status it carries.
+Result<JsonValue> ParseShardResponse(const std::string& line) {
+  XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
   const JsonValue* ok = json.Find("ok");
-  if (ok != nullptr && ok->is_bool() && ok->bool_value()) {
-    return Status::OK();
-  }
+  if (ok != nullptr && ok->is_bool() && ok->bool_value()) return json;
   return Status(CodeFromName(json.GetString("code", "Internal")),
                 json.GetString("error", "shard returned ok:false"));
 }
@@ -78,6 +77,12 @@ Coordinator::Coordinator(const CoordinatorOptions& options)
   }
 }
 
+Status Coordinator::ShardError(size_t shard, const Status& status) const {
+  return Status(status.code(), "shard " + std::to_string(shard) + " (" +
+                                   options_.shards[shard].ToString() +
+                                   "): " + status.message());
+}
+
 Result<std::unique_ptr<Coordinator>> Coordinator::Create(
     const CoordinatorOptions& options) {
   XPLAIN_TRACE_SPAN("cluster.bootstrap");
@@ -99,37 +104,29 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
     const ShardEndpoint& endpoint = options.shards[s];
     Result<server::TcpClient> dialed = server::TcpClient::ConnectWithRetry(
         endpoint.host, endpoint.port, options.client, options.connect_retry);
-    if (!dialed.ok()) {
-      return Status(dialed.status().code(),
-                    "shard " + std::to_string(s) + " (" +
-                        endpoint.ToString() +
-                        "): " + dialed.status().message());
-    }
+    if (!dialed.ok()) return coordinator->ShardError(s, dialed.status());
     server::TcpClient client = std::move(*dialed);
-    Result<std::string> response =
-        client.Call("{\"id\":0,\"op\":\"STATS\",\"schema\":true}");
-    if (!response.ok()) {
-      return Status(response.status().code(),
-                    "shard " + std::to_string(s) + " (" +
-                        endpoint.ToString() +
-                        "): " + response.status().message());
-    }
-    XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(*response));
-    XPLAIN_RETURN_IF_ERROR(StatusOfResponse(json));
-    const JsonValue* schema = json.Find("schema");
+    Result<JsonValue> json = [&]() -> Result<JsonValue> {
+      XPLAIN_ASSIGN_OR_RETURN(
+          std::string response,
+          client.Call("{\"id\":0,\"op\":\"STATS\",\"schema\":true}"));
+      return ParseShardResponse(response);
+    }();
+    if (!json.ok()) return coordinator->ShardError(s, json.status());
+    const JsonValue* schema = json->Find("schema");
     if (schema == nullptr || !schema->is_string()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(s) + " (" + endpoint.ToString() +
-          "): STATS response carries no schema (is it an xplaind?)");
+      return coordinator->ShardError(
+          s, Status::InvalidArgument(
+                 "STATS response carries no schema (is it an xplaind?)"));
     }
     if (s == 0) {
       ddl = schema->string_value();
     } else if (schema->string_value() != ddl) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(s) + " (" + endpoint.ToString() +
-          ") serves a different schema than shard 0");
+      return coordinator->ShardError(
+          s, Status::FailedPrecondition(
+                 "serves a different schema than shard 0"));
     }
-    versions[s] = static_cast<uint64_t>(json.GetNumber("db_version", 0.0));
+    versions[s] = static_cast<uint64_t>(json->GetNumber("db_version", 0.0));
     MutexLock lock(&coordinator->pools_[s]->mu);
     coordinator->pools_[s]->idle.push_back(std::move(client));
   }
@@ -192,12 +189,7 @@ void Coordinator::ReturnConnection(size_t shard, server::TcpClient client) {
 Result<std::string> Coordinator::CallShard(size_t shard,
                                            const std::string& line) {
   Result<server::TcpClient> leased = LeaseConnection(shard);
-  if (!leased.ok()) {
-    return Status(leased.status().code(),
-                  "shard " + std::to_string(shard) + " (" +
-                      options_.shards[shard].ToString() +
-                      "): " + leased.status().message());
-  }
+  if (!leased.ok()) return ShardError(shard, leased.status());
   server::TcpClient conn = std::move(*leased);
   Result<std::string> response = conn.Call(line);
   if (!response.ok() &&
@@ -208,10 +200,7 @@ Result<std::string> Coordinator::CallShard(size_t shard,
   }
   if (!response.ok()) {
     NoteShardError();
-    return Status(response.status().code(),
-                  "shard " + std::to_string(shard) + " (" +
-                      options_.shards[shard].ToString() +
-                      "): " + response.status().message());
+    return ShardError(shard, response.status());
   }
   ReturnConnection(shard, std::move(conn));
   return response;
@@ -220,8 +209,7 @@ Result<std::string> Coordinator::CallShard(size_t shard,
 Status Coordinator::ReprobeVersion(size_t shard) {
   XPLAIN_ASSIGN_OR_RETURN(std::string line,
                           CallShard(shard, "{\"id\":0,\"op\":\"STATS\"}"));
-  XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
-  XPLAIN_RETURN_IF_ERROR(StatusOfResponse(json));
+  XPLAIN_ASSIGN_OR_RETURN(JsonValue json, ParseShardResponse(line));
   const uint64_t version =
       static_cast<uint64_t>(json.GetNumber("db_version", 0.0));
   WriterMutexLock lock(&versions_mu_);
@@ -242,10 +230,7 @@ Result<std::vector<std::string>> Coordinator::ScatterGather(
         ReturnConnection(targets[j], std::move(conns[j]));
       }
       NoteShardError();
-      return Status(leased.status().code(),
-                    "shard " + std::to_string(targets[i]) + " (" +
-                        options_.shards[targets[i]].ToString() +
-                        "): " + leased.status().message());
+      return ShardError(targets[i], leased.status());
     }
     conns.push_back(std::move(*leased));
   }
@@ -256,10 +241,7 @@ Result<std::vector<std::string>> Coordinator::ScatterGather(
   auto fail = [&](size_t index, const Status& status) {
     conns.clear();
     NoteShardError();
-    return Status(status.code(),
-                  "shard " + std::to_string(targets[index]) + " (" +
-                      options_.shards[targets[index]].ToString() +
-                      "): " + status.message());
+    return ShardError(targets[index], status);
   };
 
   // Scatter: all sends first, so the shards execute concurrently; a fresh
@@ -312,21 +294,19 @@ Result<std::string> Coordinator::FanoutOnce(
   XPLAIN_ASSIGN_OR_RETURN(std::vector<std::string> responses,
                           ScatterGather(targets, lines));
 
+  // Each response is parsed as JSON once and decoded from that value.
   std::vector<ShardPartial> partials;
   partials.reserve(k);
   for (size_t s = 0; s < k; ++s) {
-    XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(responses[s]));
-    Status shard_status = StatusOfResponse(json);
-    if (!shard_status.ok()) {
+    Result<ShardPartial> partial = [&]() -> Result<ShardPartial> {
+      XPLAIN_ASSIGN_OR_RETURN(JsonValue json, ParseShardResponse(responses[s]));
+      return ParsePartialPayload(json);
+    }();
+    if (!partial.ok()) {
       NoteShardError();
-      return Status(shard_status.code(),
-                    "shard " + std::to_string(s) + " (" +
-                        options_.shards[s].ToString() +
-                        "): " + shard_status.message());
+      return ShardError(s, partial.status());
     }
-    XPLAIN_ASSIGN_OR_RETURN(ShardPartial partial,
-                            ParsePartialPayload(responses[s]));
-    partials.push_back(std::move(partial));
+    partials.push_back(*std::move(partial));
   }
 
   XPLAIN_ASSIGN_OR_RETURN(
@@ -353,41 +333,20 @@ Result<std::string> Coordinator::FanoutOnce(
     }
     XPLAIN_ASSIGN_OR_RETURN(std::vector<std::string> rescore_responses,
                             ScatterGather(targets, rescore_lines));
-    std::vector<std::vector<std::vector<double>>> shard_values(k);
+    std::vector<std::vector<std::vector<double>>> shard_values;
+    shard_values.reserve(k);
     for (size_t s = 0; s < k; ++s) {
-      XPLAIN_ASSIGN_OR_RETURN(JsonValue json,
-                              JsonValue::Parse(rescore_responses[s]));
-      Status shard_status = StatusOfResponse(json);
-      if (!shard_status.ok()) {
+      Result<std::vector<std::vector<double>>> values =
+          [&]() -> Result<std::vector<std::vector<double>>> {
+        XPLAIN_ASSIGN_OR_RETURN(JsonValue json,
+                                ParseShardResponse(rescore_responses[s]));
+        return ParseRescorePayload(json);
+      }();
+      if (!values.ok()) {
         NoteShardError();
-        return Status(shard_status.code(),
-                      "shard " + std::to_string(s) + " (" +
-                          options_.shards[s].ToString() +
-                          "): " + shard_status.message());
+        return ShardError(s, values.status());
       }
-      const JsonValue* rescored = json.Find("rescored");
-      if (rescored == nullptr || !rescored->is_array()) {
-        return Status::InvalidArgument(
-            "shard " + std::to_string(s) +
-            " rescore response carries no 'rescored' member");
-      }
-      for (const JsonValue& row : rescored->array_items()) {
-        if (!row.is_array()) {
-          return Status::InvalidArgument(
-              "shard " + std::to_string(s) + " rescore row is not an array");
-        }
-        std::vector<double> values;
-        values.reserve(row.array_items().size());
-        for (const JsonValue& item : row.array_items()) {
-          if (!item.is_number()) {
-            return Status::InvalidArgument(
-                "shard " + std::to_string(s) +
-                " rescore row holds a non-number");
-          }
-          values.push_back(item.number_value());
-        }
-        shard_values[s].push_back(std::move(values));
-      }
+      shard_values.push_back(*std::move(values));
     }
     XPLAIN_RETURN_IF_ERROR(
         FinishRescore(question, request.options, shard_values, &merged));
@@ -510,14 +469,11 @@ std::string Coordinator::DeltaPayload(const Request& request,
       Status shard_status = response.status();
       JsonValue json;
       if (response.ok()) {
-        XPLAIN_ASSIGN_OR_RETURN(json, JsonValue::Parse(*response));
-        shard_status = StatusOfResponse(json);
-        if (!shard_status.ok()) {
-          shard_status =
-              Status(shard_status.code(),
-                     "shard " + std::to_string(s) + " (" +
-                         options_.shards[s].ToString() +
-                         "): " + shard_status.message());
+        Result<JsonValue> parsed = ParseShardResponse(*response);
+        if (parsed.ok()) {
+          json = *std::move(parsed);
+        } else {
+          shard_status = ShardError(s, parsed.status());
         }
       }
       if (!shard_status.ok()) {

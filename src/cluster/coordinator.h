@@ -133,6 +133,9 @@ class Coordinator : public server::LineService {
     std::vector<server::TcpClient> idle XPLAIN_GUARDED_BY(mu);
   };
 
+  /// `status` with its message prefixed by "shard s (host:port): ".
+  [[nodiscard]] Status ShardError(size_t shard, const Status& status) const;
+
   [[nodiscard]] Result<server::TcpClient> LeaseConnection(size_t shard);
   void ReturnConnection(size_t shard, server::TcpClient client);
 

@@ -1,15 +1,13 @@
 #include "cluster/merge.h"
 
-#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
+#include <unordered_map>
 #include <utility>
 
 #include "core/cube_algorithm.h"
-#include "core/degree.h"
-#include "core/topk.h"
 #include "relational/cube.h"
-#include "server/json.h"
 #include "server/protocol.h"
 #include "util/trace.h"
 
@@ -33,10 +31,23 @@ Result<uint64_t> ParseMaskString(const std::string& text) {
   return static_cast<uint64_t>(parsed);
 }
 
+/// The items of a JSON array that must hold only numbers.
+Result<std::vector<double>> Numbers(const JsonValue& array, const char* what) {
+  std::vector<double> out;
+  out.reserve(array.array_items().size());
+  for (const JsonValue& item : array.array_items()) {
+    if (!item.is_number()) {
+      return Status::InvalidArgument(std::string(what) +
+                                     " holds a non-number");
+    }
+    out.push_back(item.number_value());
+  }
+  return out;
+}
+
 }  // namespace
 
-Result<ShardPartial> ParsePartialPayload(const std::string& line) {
-  XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
+Result<ShardPartial> ParsePartialPayload(const JsonValue& json) {
   if (!json.is_object()) {
     return Status::InvalidArgument("shard partial is not a JSON object");
   }
@@ -57,12 +68,7 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
   if (u == nullptr || !u->is_array()) {
     return Status::InvalidArgument("shard partial is missing 'u'");
   }
-  for (const JsonValue& item : u->array_items()) {
-    if (!item.is_number()) {
-      return Status::InvalidArgument("shard partial 'u' holds a non-number");
-    }
-    partial.u.push_back(item.number_value());
-  }
+  XPLAIN_ASSIGN_OR_RETURN(partial.u, Numbers(*u, "shard partial 'u'"));
   const JsonValue* cells = json.Find("cells");
   if (cells == nullptr || !cells->is_array()) {
     return Status::InvalidArgument("shard partial is missing 'cells'");
@@ -90,15 +96,8 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
     }
     XPLAIN_ASSIGN_OR_RETURN(uint64_t mask_bits,
                             ParseMaskString(mask->string_value()));
-    std::vector<double> values;
-    values.reserve(v->array_items().size());
-    for (const JsonValue& item : v->array_items()) {
-      if (!item.is_number()) {
-        return Status::InvalidArgument(
-            "shard partial cell 'v' holds a non-number");
-      }
-      values.push_back(item.number_value());
-    }
+    XPLAIN_ASSIGN_OR_RETURN(std::vector<double> values,
+                            Numbers(*v, "shard partial cell 'v'"));
     if (values.size() != partial.u.size()) {
       return Status::InvalidArgument(
           "shard partial cell has " + std::to_string(values.size()) +
@@ -112,6 +111,35 @@ Result<ShardPartial> ParsePartialPayload(const std::string& line) {
   return partial;
 }
 
+Result<ShardPartial> ParsePartialPayload(const std::string& line) {
+  XPLAIN_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(line));
+  return ParsePartialPayload(json);
+}
+
+Result<std::vector<std::vector<double>>> ParseRescorePayload(
+    const JsonValue& json) {
+  const JsonValue* ok = json.Find("ok");
+  if (ok == nullptr || !ok->is_bool() || !ok->bool_value()) {
+    return Status::InvalidArgument("shard rescore is not an ok response");
+  }
+  const JsonValue* rescored = json.Find("rescored");
+  if (rescored == nullptr || !rescored->is_array()) {
+    return Status::InvalidArgument(
+        "rescore response carries no 'rescored' member");
+  }
+  std::vector<std::vector<double>> rows;
+  rows.reserve(rescored->array_items().size());
+  for (const JsonValue& row : rescored->array_items()) {
+    if (!row.is_array()) {
+      return Status::InvalidArgument("rescore row is not an array");
+    }
+    XPLAIN_ASSIGN_OR_RETURN(std::vector<double> values,
+                            Numbers(row, "rescore row"));
+    rows.push_back(std::move(values));
+  }
+  return rows;
+}
+
 Result<MergedExplain> MergePartials(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options,
@@ -121,76 +149,87 @@ Result<MergedExplain> MergePartials(
     return Status::InvalidArgument("no shard partials to merge");
   }
   const size_t m = static_cast<size_t>(question.query.num_subqueries());
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueryCount(static_cast<int>(m)));
+
+  // The full outer join of the global cubes in one hashed pass over the
+  // fragment rows. Cube cells of the envelope aggregates are additive over
+  // the disjoint row partition, so a global cell C_j(c) is the sum of the
+  // shards' C_j(c) where mask bit j is set; summing in shard-map order
+  // from 0.0 keeps it deterministic. A row whose mask has no bit set was
+  // no cube's cell and joins nothing. The global originals sum the same
+  // way: u_j(D) = sum over shards of u_j(D_s).
+  const uint64_t cube_bits = m == 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1;
+  auto hash = [](const Tuple* t) { return TupleHash{}(*t); };
+  auto eq = [](const Tuple* a, const Tuple* b) { return TupleEq{}(*a, *b); };
+  std::unordered_map<const Tuple*, size_t, decltype(hash), decltype(eq)>
+      row_of(partials[0].coords.size(), hash, eq);
+  std::vector<const Tuple*> coords;  // keyed into the fragments
+  std::vector<double> sums;          // [row * m + j]
+  std::vector<uint64_t> masks;
+  std::vector<size_t> last_shard;  // the latest shard to hold the row
+  std::vector<double> u_sum(m, 0.0);
   for (size_t s = 0; s < partials.size(); ++s) {
-    if (partials[s].u.size() != m) {
+    const ShardPartial& partial = partials[s];
+    const size_t n = partial.coords.size();
+    if (partial.u.size() != m) {
       return Status::InvalidArgument(
           "shard " + std::to_string(s) + " answered " +
-          std::to_string(partials[s].u.size()) + " subqueries; expected " +
+          std::to_string(partial.u.size()) + " subqueries; expected " +
           std::to_string(m));
     }
-    for (const Tuple& coords : partials[s].coords) {
-      if (coords.size() != attributes.size()) {
+    if (partial.masks.size() != n || partial.values.size() != n) {
+      return Status::InvalidArgument("shard " + std::to_string(s) +
+                                     " fragment has ragged rows");
+    }
+    for (size_t j = 0; j < m; ++j) u_sum[j] += partial.u[j];
+    for (size_t i = 0; i < n; ++i) {
+      if (partial.coords[i].size() != attributes.size() ||
+          partial.values[i].size() != m) {
         return Status::InvalidArgument(
             "shard " + std::to_string(s) +
-            " fragment row arity does not match the candidate attributes");
+            " fragment row arity does not match the candidate attributes "
+            "and subqueries");
       }
+      const uint64_t mask = partial.masks[i] & cube_bits;
+      if (mask == 0) continue;
+      auto [it, inserted] =
+          row_of.try_emplace(&partial.coords[i], coords.size());
+      const size_t row = it->second;
+      if (inserted) {
+        coords.push_back(&partial.coords[i]);
+        sums.resize(sums.size() + m, 0.0);
+        masks.push_back(0);
+        last_shard.push_back(s);
+      } else if (last_shard[row] == s) {
+        return Status::InvalidArgument(
+            "shard " + std::to_string(s) + " fragment repeats coordinate " +
+            TupleToString(partial.coords[i]));
+      }
+      last_shard[row] = s;
+      for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+        const size_t j = static_cast<size_t>(std::countr_zero(bits));
+        sums[row * m + j] += partial.values[i][j];
+      }
+      masks[row] |= mask;
     }
   }
-
-  // Reconstruct each shard's per-subquery cube from its fragment rows
-  // (mask bit j = cube C_j materialized the cell), join the K shard cubes
-  // per subquery, and column-sum into the global cube. Cube cells of the
-  // envelope aggregates are additive over the disjoint row partition, so
-  // the summed cube equals the single-node cube cell-for-cell; summation
-  // runs in shard-map order for determinism.
-  std::vector<DataCube> merged_cubes;
-  merged_cubes.reserve(m);
-  for (size_t j = 0; j < m; ++j) {
-    std::vector<DataCube> shard_cubes;
-    shard_cubes.reserve(partials.size());
-    for (const ShardPartial& partial : partials) {
-      DataCube::CellMap cells;
-      for (size_t row = 0; row < partial.coords.size(); ++row) {
-        if ((partial.masks[row] >> j) & 1u) {
-          cells.emplace(partial.coords[row], partial.values[row][j]);
-        }
-      }
-      shard_cubes.push_back(DataCube::FromCells(attributes, std::move(cells)));
+  const std::vector<size_t> order = CanonicalOrder(coords, attributes.size());
+  CubeJoinResult joined;
+  joined.attributes = attributes;
+  joined.coords.reserve(order.size());
+  joined.values.assign(m, std::vector<double>(order.size()));
+  joined.present.assign(m, std::vector<uint8_t>(order.size()));
+  for (size_t row = 0; row < order.size(); ++row) {
+    joined.coords.push_back(*coords[order[row]]);
+    for (size_t j = 0; j < m; ++j) {
+      joined.values[j][row] = sums[order[row] * m + j];
+      joined.present[j][row] = (masks[order[row]] >> j) & 1u;
     }
-    std::vector<const DataCube*> operands;
-    operands.reserve(shard_cubes.size());
-    for (const DataCube& cube : shard_cubes) operands.push_back(&cube);
-    XPLAIN_ASSIGN_OR_RETURN(CubeJoinResult joined,
-                            FullOuterJoinCubes(operands));
-    DataCube::CellMap sums;
-    sums.reserve(joined.NumRows());
-    for (size_t row = 0; row < joined.NumRows(); ++row) {
-      bool present = false;
-      double sum = 0.0;
-      for (size_t s = 0; s < partials.size(); ++s) {
-        sum += joined.values[s][row];
-        present = present || joined.present[s][row] != 0;
-      }
-      if (present) sums.emplace(joined.coords[row], sum);
-    }
-    merged_cubes.push_back(DataCube::FromCells(attributes, std::move(sums)));
   }
-
-  std::vector<const DataCube*> operands;
-  operands.reserve(merged_cubes.size());
-  for (const DataCube& cube : merged_cubes) operands.push_back(&cube);
-  XPLAIN_ASSIGN_OR_RETURN(CubeJoinResult joined, FullOuterJoinCubes(operands));
 
   MergedExplain merged;
   ExplainReport& report = merged.report;
   report.used_cube = true;
-
-  // Global originals: u_j(D) = sum over shards of u_j(D_s) (exact for the
-  // envelope aggregates — counts stay integral in doubles).
-  std::vector<double> u_sum(m, 0.0);
-  for (const ShardPartial& partial : partials) {
-    for (size_t j = 0; j < m; ++j) u_sum[j] += partial.u[j];
-  }
   report.original_value = question.query.Combine(u_sum);
 
   // Verdicts are ANDed across shards: additivity is a property of the
@@ -221,44 +260,17 @@ Result<MergedExplain> MergePartials(
         " shard verdicts cell-additive";
   }
 
-  // The shared single-node tail: support pruning (the coordinator is the
-  // only place min_support applies — shards always ship unpruned), degree
+  // The single-node tail: support pruning (the coordinator is the only
+  // place min_support applies — shards always ship unpruned), degree
   // columns, ranking. Identical inputs, identical code, identical bytes.
-  TableM& table = report.table;
-  table.attributes = attributes;
-  table.original_values = u_sum;
+  report.table.attributes = attributes;
+  report.table.original_values = std::move(u_sum);
   XPLAIN_RETURN_IF_ERROR(AssembleTableM(std::move(joined), question.query,
                                         question.direction,
-                                        options.min_support, nullptr, &table));
-
-  const bool need_exact = options.degree == DegreeKind::kIntervention &&
-                          !report.cell_additivity.additive;
-  if (!need_exact) {
-    XPLAIN_TRACE_SPAN("cluster.topk");
-    report.explanations =
-        TopKExplanations(table, options.degree, options.top_k,
-                         options.minimality, nullptr);
-    return merged;
-  }
-  if (!options.exact_rescore_when_not_additive) {
-    return Status::InvalidArgument(
-        "question is not cell-exact intervention-additive (" +
-        report.cell_additivity.reason +
-        "); enable exact_rescore_when_not_additive or rank by aggravation");
-  }
-
-  // Mirror of the engine's hybrid path: select the candidate pool on the
-  // cube proxy, then leave the exact degrees to the rescore fan-out.
-  report.exact_rescored = true;
-  merged.need_rescore = true;
-  const size_t pool_size = std::max(options.exact_rescore_pool, options.top_k);
-  XPLAIN_TRACE_SPAN("cluster.rescore_select");
-  merged.pool = TopKExplanations(
-      table, DegreeKind::kIntervention, pool_size,
-      options.minimality == MinimalityStrategy::kNone
-          ? MinimalityStrategy::kNone
-          : MinimalityStrategy::kSelfJoin,
-      nullptr);
+                                        options.min_support, nullptr,
+                                        &report.table));
+  XPLAIN_ASSIGN_OR_RETURN(merged.need_rescore,
+                          RankTableM(options, nullptr, &report, &merged.pool));
   return merged;
 }
 
@@ -270,14 +282,14 @@ Status FinishRescore(
   if (!merged->need_rescore) {
     return Status::Internal("FinishRescore called without a pending rescore");
   }
-  std::vector<RankedExplanation>& pool = merged->pool;
+  const size_t cells = merged->pool.size();
   const size_t m = static_cast<size_t>(question.query.num_subqueries());
   for (size_t s = 0; s < shard_values.size(); ++s) {
-    if (shard_values[s].size() != pool.size()) {
+    if (shard_values[s].size() != cells) {
       return Status::InvalidArgument(
           "shard " + std::to_string(s) + " rescored " +
           std::to_string(shard_values[s].size()) + " cells; expected " +
-          std::to_string(pool.size()));
+          std::to_string(cells));
     }
     for (const std::vector<double>& values : shard_values[s]) {
       if (values.size() != m) {
@@ -287,27 +299,18 @@ Status FinishRescore(
       }
     }
   }
-  // Exact degree of candidate phi: sign * E over the residual subquery
-  // values summed across shards — q_j(D - Delta^phi) decomposes into the
-  // per-shard residuals when the partition co-locates every base row's
-  // universal occurrences (DESIGN.md §13).
-  const double sign = InterventionSign(question.direction);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    std::vector<double> residual(m, 0.0);
-    for (size_t s = 0; s < shard_values.size(); ++s) {
-      for (size_t j = 0; j < m; ++j) residual[j] += shard_values[s][i][j];
+  // q_j(D - Delta^phi) decomposes into the per-shard residuals when the
+  // partition co-locates every base row's universal occurrences
+  // (DESIGN.md §13).
+  std::vector<std::vector<double>> residuals(cells, std::vector<double>(m));
+  for (size_t i = 0; i < cells; ++i) {
+    for (const auto& values : shard_values) {
+      for (size_t j = 0; j < m; ++j) residuals[i][j] += values[i][j];
     }
-    const double degree = sign * question.query.Combine(residual);
-    pool[i].degree = degree;
-    // Keep table M in sync so follow-up minimality sees exact values.
-    merged->report.table.mu_interv[pool[i].m_row] = degree;
   }
-  std::stable_sort(pool.begin(), pool.end(),
-                   [](const RankedExplanation& a, const RankedExplanation& b) {
-                     return a.degree > b.degree;
-                   });
-  if (pool.size() > options.top_k) pool.resize(options.top_k);
-  merged->report.explanations = std::move(pool);
+  RankExactDegrees(question, options, residuals, std::move(merged->pool),
+                   &merged->report);
+  merged->pool.clear();
   merged->need_rescore = false;
   return Status::OK();
 }

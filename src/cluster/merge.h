@@ -7,6 +7,7 @@
 
 #include "core/engine.h"
 #include "relational/query.h"
+#include "server/json.h"
 #include "util/result.h"
 
 namespace xplain {
@@ -30,11 +31,21 @@ struct ShardPartial {
   std::vector<std::vector<double>> values;
 };
 
-/// Parses one shard response line carrying a PartialReportPayload. The
-/// line must be an ok:true partial payload; ok:false lines should be
-/// routed to error handling before calling this.
+/// Decodes one shard response carrying a PartialReportPayload. The
+/// response must be an ok:true partial payload; ok:false responses should
+/// be routed to error handling before calling this.
+[[nodiscard]] Result<ShardPartial> ParsePartialPayload(
+    const server::JsonValue& json);
+
+/// As above, parsing the response line first.
 [[nodiscard]] Result<ShardPartial> ParsePartialPayload(
     const std::string& line);
+
+/// Decodes one shard response to a rescore request
+/// (server::RescorePayload): rescored[i][j] = q_j(D_s - Delta^phi_i_s).
+/// The response must be ok:true; row arity is checked by FinishRescore.
+[[nodiscard]] Result<std::vector<std::vector<double>>> ParseRescorePayload(
+    const server::JsonValue& json);
 
 /// The coordinator-side outcome of merging K shard fragments: either a
 /// finished report (`need_rescore == false`) or a report whose candidate
@@ -49,25 +60,27 @@ struct MergedExplain {
 };
 
 /// Merges K shard fragments into one report, bit-identically to a single
-/// node over the union database (DESIGN.md §13): reconstructs each
-/// shard's per-subquery cubes from the fragment rows and their cube
-/// masks, full-outer-joins and column-sums them into the global cubes,
-/// joins those across subqueries, and re-runs the shared AssembleTableM +
-/// TopKExplanations tail with the caller's real options (min_support is
-/// applied here, after the global merge). Additivity verdicts are the AND
-/// over shards — exact whenever the partition co-locates every base row's
-/// universal occurrences. When the question needs exact intervention
-/// degrees, the result carries the candidate pool for the rescore
-/// fan-out instead of final rankings.
+/// node over the union database (DESIGN.md §13). One hashed pass over the
+/// fragment rows, in shard order, sums each coordinate's values per set
+/// cube-mask bit and ORs the masks: this is the full outer join of the
+/// global cubes, whose cells are sums of the shards' cells. Rows are put
+/// in canonical order, and the shared AssembleTableM + RankTableM tail
+/// runs with the caller's real options (min_support is applied here,
+/// after the global merge). A fragment that repeats a coordinate is
+/// kInvalidArgument; a row with no mask bit set is no cube cell and is
+/// skipped. Additivity verdicts are the AND over shards — exact whenever
+/// the partition co-locates every base row's universal occurrences. When
+/// the question needs exact intervention degrees, the result carries the
+/// candidate pool for the rescore fan-out instead of final rankings.
 [[nodiscard]] Result<MergedExplain> MergePartials(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options, const std::vector<ShardPartial>& partials);
 
 /// Completes an exact rescore from the per-shard residual subquery values
 /// (shard_values[s][i][j] = q_j(D_s - Delta^phi_i_s), shards in shard-map
-/// order, cells in `merged->pool` order): sums residuals across shards,
-/// applies sign * E(...), writes the exact degrees back into table M, and
-/// ranks — mirroring the single-node exact-rescore tail byte for byte.
+/// order, cells in `merged->pool` order): sums residuals across shards
+/// in shard order from 0.0, then finishes with the single node's
+/// RankExactDegrees.
 [[nodiscard]] Status FinishRescore(
     const UserQuestion& question, const ExplainOptions& options,
     const std::vector<std::vector<std::vector<double>>>& shard_values,

@@ -65,7 +65,7 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   const ColumnCache cache = workspace
                                 ? workspace->Columns(universal, columns)
                                 : ColumnCache::Build(universal, columns,
-                                                     options.cube.pool);
+                                                     options.pool);
   std::vector<CubeQuery> misses;
   std::vector<int> missed;
   for (int j = 0; j < m; ++j) {
@@ -85,7 +85,7 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   if (!misses.empty()) {
     XPLAIN_ASSIGN_OR_RETURN(
         std::vector<CubeResult> computed,
-        ComputeCubes(cache, attributes, misses, nullptr, options.cube));
+        ComputeCubes(cache, attributes, misses, nullptr, options.pool));
     for (size_t k = 0; k < computed.size(); ++k) {
       const AggregateQuery& q = query.subqueries()[missed[k]];
       CubeResult& result = computed[k];
@@ -138,7 +138,7 @@ Result<TableM> ComputeTableM(const UniversalRelation& universal,
   XPLAIN_RETURN_IF_ERROR(AssembleTableM(std::move(joined), query,
                                         question.direction,
                                         options.min_support,
-                                        options.cube.pool, &table));
+                                        options.pool, &table));
   return table;
 }
 

@@ -79,9 +79,10 @@ inline constexpr int kMaxSubqueries = 64;
 /// Options for ComputeTableM.
 /// Thread-safety: plain data, externally synchronized.
 struct TableMOptions {
-  /// Cube evaluation options; set `cube.pool` to shard the cube scans,
-  /// rollups, and the degree columns across a ThreadPool (DESIGN.md §6).
-  CubeOptions cube;
+  /// Non-owning pool that shards the column encoding, the cube scans and
+  /// roll-ups, and the degree columns (DESIGN.md §6); nullptr runs on the
+  /// caller.
+  ThreadPool* pool = nullptr;
   /// Keep only rows where at least one v_j reaches this support (the paper
   /// used 1000 on natality). 0 keeps everything.
   double min_support = 0.0;

@@ -142,12 +142,6 @@ void CubeWorkspace::AbortDelta() {
   frozen_ = false;
 }
 
-void CubeWorkspace::Clear() {
-  MutexLock lock(&mu_);
-  cubes_.clear();
-  columns_.clear();
-}
-
 CubeWorkspaceStats CubeWorkspace::GetStats() const {
   MutexLock lock(&mu_);
   CubeWorkspaceStats stats;
@@ -185,15 +179,13 @@ CubeWorkspace::Patch CubeWorkspace::PlanDelta(
     const AggregateSpec& agg = entry.query.agg;
     const ColumnCache cache = Columns(
         old_universal, CubeColumns(entry.attributes, {&entry.query, 1}));
-    CubeOptions options;
-    options.max_attributes = static_cast<int>(entry.attributes.size());
     // Every row cubed here took part in the retained cube over the same
     // columns (no NULL key, numeric value column), so the kernel cannot
     // fail.
     auto cubes_of = [&](const std::vector<CubeQuery>& queries,
                         const std::vector<uint32_t>& rows) {
       Result<std::vector<CubeResult>> cubes =
-          ComputeCubes(cache, entry.attributes, queries, &rows, options);
+          ComputeCubes(cache, entry.attributes, queries, &rows);
       XPLAIN_CHECK(cubes.ok()) << cubes.status().ToString();
       for (const CubeResult& cube : *cubes) {
         XPLAIN_CHECK(cube.status.ok()) << cube.status.ToString();

@@ -144,9 +144,6 @@ class CubeWorkspace {
   /// Unfreezes inserts without applying anything (failed/abandoned delta).
   void AbortDelta();
 
-  /// Drops every retained entry (legacy full-rebuild path).
-  void Clear();
-
   /// Point-in-time counters and sizes.
   CubeWorkspaceStats GetStats() const;
 

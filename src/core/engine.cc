@@ -19,12 +19,13 @@ double PhaseMs(int64_t start_us) {
   return static_cast<double>(Trace::NowMicros() - start_us) / 1000.0;
 }
 
-/// Worker count for a requested num_threads: 0 means one per hardware
-/// core, and no request gets more than that (a client-sent value must not
-/// spawn an unbounded pool).
-int ClampThreads(int requested) {
+/// The parallel execution layer of one call (DESIGN.md §6): 0 means one
+/// worker per hardware core, which also caps larger values; a single
+/// worker is no pool at all — the exact sequential path.
+std::unique_ptr<ThreadPool> MakeWorkers(int num_threads) {
   const int cores = ThreadPool::DefaultNumThreads();
-  return requested <= 0 ? cores : std::min(requested, cores);
+  const int threads = num_threads <= 0 ? cores : std::min(num_threads, cores);
+  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
 }
 
 /// Refused before any table work: more than kMaxSubqueries subqueries,
@@ -62,8 +63,7 @@ std::string CanonicalOptionsKey(const ExplainOptions& options) {
       << ";sup=" << std::setprecision(17) << options.min_support
       << ";cube=" << (options.use_cube ? 1 : 0)
       << ";rescore=" << (options.exact_rescore_when_not_additive ? 1 : 0)
-      << ";pool=" << options.exact_rescore_pool
-      << ";maxattr=" << options.cube.max_attributes;
+      << ";pool=" << options.exact_rescore_pool;
   return key.str();
 }
 
@@ -193,40 +193,56 @@ Result<ExplainReport> ExplainEngine::Explain(
   return ExplainResolved(question, attrs, options);
 }
 
+Status ExplainEngine::BuildTable(const UserQuestion& question,
+                                 const std::vector<ColumnRef>& attributes,
+                                 const ExplainOptions& options,
+                                 double min_support, ThreadPool* pool,
+                                 TableM* table, AdditivityReport* additivity,
+                                 AdditivityReport* cell_additivity) const {
+  XPLAIN_RETURN_IF_ERROR(CheckSubqueries(*db_, question.query));
+  *additivity = CheckQueryAdditivity(*db_, unique_core_, question.query);
+  *cell_additivity = CheckCellAdditivity(*db_, unique_core_, question.query);
+  if (!options.use_cube) {
+    NaiveOptions naive_options;
+    naive_options.min_support = min_support;
+    XPLAIN_ASSIGN_OR_RETURN(
+        *table,
+        ComputeTableMNaive(*universal_, question, attributes, naive_options));
+    return Status::OK();
+  }
+  TableMOptions table_options;
+  table_options.pool = pool;
+  table_options.min_support = min_support;
+  table_options.workspace = workspace_.get();
+  XPLAIN_ASSIGN_OR_RETURN(
+      *table, ComputeTableM(*universal_, question, attributes, table_options));
+  return Status::OK();
+}
+
 Result<PartialExplainReport> ExplainEngine::ExplainPartialResolved(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options) const {
   XPLAIN_TRACE_SPAN("engine.explain_partial");
-  XPLAIN_RETURN_IF_ERROR(CheckSubqueries(*db_, question.query));
   if (!options.use_cube) {
     return Status::InvalidArgument(
         "partial EXPLAIN requires the cube path (the naive table carries no "
         "per-cube supports to merge)");
   }
   PartialExplainReport report;
-  report.additivity = CheckQueryAdditivity(*db_, unique_core_, question.query);
-  report.cell_additivity =
-      CheckCellAdditivity(*db_, unique_core_, question.query);
-  const int num_threads = ClampThreads(options.num_threads);
-  std::unique_ptr<ThreadPool> workers;
-  if (num_threads > 1) workers = std::make_unique<ThreadPool>(num_threads);
-  TableMOptions table_options;
-  table_options.cube = options.cube;
-  table_options.cube.pool = workers.get();
+  std::unique_ptr<ThreadPool> workers = MakeWorkers(options.num_threads);
   // Never prune locally: a cell below min_support on this shard can clear
   // it once merged with its siblings. The coordinator prunes the merged
   // values.
-  table_options.min_support = 0.0;
-  table_options.workspace = workspace_.get();
-  XPLAIN_ASSIGN_OR_RETURN(
-      report.table,
-      ComputeTableM(*universal_, question, attributes, table_options));
+  XPLAIN_RETURN_IF_ERROR(BuildTable(question, attributes, options,
+                                    /*min_support=*/0.0, workers.get(),
+                                    &report.table, &report.additivity,
+                                    &report.cell_additivity));
   return report;
 }
 
 Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
-    const std::vector<Tuple>& cells, int num_threads) const {
+    const std::vector<Tuple>& cells, ThreadPool* pool) const {
   XPLAIN_TRACE_SPAN("engine.rescore_cells");
   XPLAIN_RETURN_IF_ERROR(CheckSubqueries(*db_, question.query));
   for (const Tuple& cell : cells) {
@@ -237,12 +253,11 @@ Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
           " attributes were given");
     }
   }
-  const int threads = ClampThreads(num_threads);
-  std::unique_ptr<ThreadPool> workers;
-  if (threads > 1) workers = std::make_unique<ThreadPool>(threads);
+  // Each cell's program-P evaluation is independent; shards write
+  // disjoint slots, so the values match the sequential path bit for bit.
   std::vector<std::vector<double>> values(cells.size());
   XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      workers.get(), cells.size(), [&](int, size_t begin, size_t end) {
+      pool, cells.size(), [&](int, size_t begin, size_t end) {
         XPLAIN_TRACE_SPAN("engine.rescore_cells_shard");
         for (size_t i = begin; i < end; ++i) {
           Explanation e = Explanation::FromCell(attributes, cells[i]);
@@ -257,21 +272,109 @@ Result<std::vector<std::vector<double>>> ExplainEngine::RescoreCells(
   return values;
 }
 
+Result<bool> RankTableM(const ExplainOptions& options, ThreadPool* pool,
+                        ExplainReport* report,
+                        std::vector<RankedExplanation>* candidates) {
+  const int64_t topk_start_us = Trace::NowMicros();
+  const bool need_exact = options.degree == DegreeKind::kIntervention &&
+                          !report->cell_additivity.additive;
+  if (!need_exact) {
+    XPLAIN_TRACE_SPAN("engine.topk");
+    report->explanations =
+        TopKExplanations(report->table, options.degree, options.top_k,
+                         options.minimality, pool);
+    report->stats.topk_ms = PhaseMs(topk_start_us);
+    return false;
+  }
+  if (!options.exact_rescore_when_not_additive) {
+    return Status::InvalidArgument(
+        "question is not cell-exact intervention-additive (" +
+        report->cell_additivity.reason +
+        "); enable exact_rescore_when_not_additive or rank by aggravation");
+  }
+  // Hybrid path: the cube's mu_interv column is a proxy that selects the
+  // candidate pool; the caller rescores each candidate exactly with
+  // program P and ranks (and applies minimality) on the exact degrees.
+  XPLAIN_TRACE_SPAN("engine.rescore_select");
+  report->exact_rescored = true;
+  *candidates = TopKExplanations(
+      report->table, DegreeKind::kIntervention,
+      std::max(options.exact_rescore_pool, options.top_k),
+      options.minimality == MinimalityStrategy::kNone
+          ? MinimalityStrategy::kNone
+          : MinimalityStrategy::kSelfJoin,
+      pool);
+  report->stats.topk_ms = PhaseMs(topk_start_us);
+  return true;
+}
+
+void RankExactDegrees(const UserQuestion& question,
+                      const ExplainOptions& options,
+                      const std::vector<std::vector<double>>& residuals,
+                      std::vector<RankedExplanation> candidates,
+                      ExplainReport* report) {
+  const double sign = InterventionSign(question.direction);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i].degree = sign * question.query.Combine(residuals[i]);
+    report->table.mu_interv[candidates[i].m_row] = candidates[i].degree;
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const RankedExplanation& a, const RankedExplanation& b) {
+                     return a.degree > b.degree;
+                   });
+  if (candidates.size() > options.top_k) candidates.resize(options.top_k);
+  report->explanations = std::move(candidates);
+}
+
 Result<ExplainReport> ExplainEngine::ExplainResolved(
     const UserQuestion& question, const std::vector<ColumnRef>& attributes,
     const ExplainOptions& options) const {
   XPLAIN_TRACE_SPAN("engine.explain");
-  XPLAIN_RETURN_IF_ERROR(CheckSubqueries(*db_, question.query));
   const int64_t explain_start_us = Trace::NowMicros();
   std::vector<std::pair<std::string, double>> counters_before;
   if (options.collect_stats) {
     counters_before = MetricsRegistry::Global().CounterSnapshot();
   }
-  // Fills report.stats from the phase timers plus the per-call counter
-  // deltas (semijoin time and fixpoint work are nested inside other phases,
-  // so they are accounted by accumulation, not by an enclosing timer).
-  auto finalize_stats = [&](ExplainReport& report) {
-    if (!options.collect_stats) return;
+
+  // One pool per Explain call, shared by the cube shards, the top-K scans
+  // and the exact rescoring.
+  ExplainReport report;
+  std::unique_ptr<ThreadPool> workers = MakeWorkers(options.num_threads);
+  XPLAIN_RETURN_IF_ERROR(BuildTable(
+      question, attributes, options, options.min_support, workers.get(),
+      &report.table, &report.additivity, &report.cell_additivity));
+  report.used_cube = options.use_cube;
+  // Q(D) from the u_j both table paths computed: the same Combine over the
+  // same values as NumericalQuery::EvaluateOnUniversal, without its scan.
+  report.original_value = question.query.Combine(report.table.original_values);
+
+  std::vector<RankedExplanation> candidates;
+  XPLAIN_ASSIGN_OR_RETURN(
+      const bool need_exact,
+      RankTableM(options, workers.get(), &report, &candidates));
+  if (need_exact) {
+    const int64_t rescore_start_us = Trace::NowMicros();
+    TraceSpan rescore_span("engine.exact_rescore");
+    rescore_span.set_arg(static_cast<int64_t>(candidates.size()));
+    std::vector<Tuple> cells;
+    cells.reserve(candidates.size());
+    for (const RankedExplanation& candidate : candidates) {
+      cells.push_back(report.table.coords[candidate.m_row]);
+    }
+    XPLAIN_ASSIGN_OR_RETURN(
+        std::vector<std::vector<double>> residuals,
+        RescoreCells(question, report.table.attributes, cells,
+                     workers.get()));
+    RankExactDegrees(question, options, residuals, std::move(candidates),
+                     &report);
+    rescore_span.End();
+    report.stats.exact_rescore_ms = PhaseMs(rescore_start_us);
+  }
+
+  // The phase timers plus the per-call counter deltas (semijoin time and
+  // fixpoint work are nested inside other phases, so they are accounted
+  // by accumulation, not by an enclosing timer).
+  if (options.collect_stats) {
     report.stats_collected = true;
     QueryStats& stats = report.stats;
     stats.total_ms = PhaseMs(explain_start_us);
@@ -298,109 +401,7 @@ Result<ExplainReport> ExplainEngine::ExplainResolved(
         static_cast<int64_t>(DeltaOf(deltas, "fixpoint.rounds"));
     stats.fixpoint_deleted_tuples =
         static_cast<int64_t>(DeltaOf(deltas, "fixpoint.deleted_tuples"));
-  };
-
-  ExplainReport report;
-  report.additivity = CheckQueryAdditivity(*db_, unique_core_, question.query);
-  report.cell_additivity =
-      CheckCellAdditivity(*db_, unique_core_, question.query);
-  report.used_cube = options.use_cube;
-
-  // The parallel execution layer (DESIGN.md §6): one pool per Explain
-  // call, shared by the cube shards, the top-K scans, and the exact
-  // rescoring. num_threads == 1 (or a single-core machine) keeps `workers`
-  // null — the exact sequential legacy path.
-  const int num_threads = ClampThreads(options.num_threads);
-  std::unique_ptr<ThreadPool> workers;
-  if (num_threads > 1) workers = std::make_unique<ThreadPool>(num_threads);
-
-  if (options.use_cube) {
-    TableMOptions table_options;
-    table_options.cube = options.cube;
-    table_options.cube.pool = workers.get();
-    table_options.min_support = options.min_support;
-    table_options.workspace = workspace_.get();
-    XPLAIN_ASSIGN_OR_RETURN(
-        report.table,
-        ComputeTableM(*universal_, question, attributes, table_options));
-  } else {
-    NaiveOptions naive_options;
-    naive_options.min_support = options.min_support;
-    XPLAIN_ASSIGN_OR_RETURN(
-        report.table,
-        ComputeTableMNaive(*universal_, question, attributes, naive_options));
   }
-  // Q(D) from the u_j both table paths computed: the same Combine over the
-  // same values as NumericalQuery::EvaluateOnUniversal, without its scan.
-  report.original_value = question.query.Combine(report.table.original_values);
-
-  const bool need_exact = options.degree == DegreeKind::kIntervention &&
-                          !report.cell_additivity.additive;
-  if (!need_exact) {
-    const int64_t topk_start_us = Trace::NowMicros();
-    XPLAIN_TRACE_SPAN("engine.topk");
-    report.explanations =
-        TopKExplanations(report.table, options.degree, options.top_k,
-                         options.minimality, workers.get());
-    report.stats.topk_ms = PhaseMs(topk_start_us);
-    finalize_stats(report);
-    return report;
-  }
-
-  if (!options.exact_rescore_when_not_additive) {
-    return Status::InvalidArgument(
-        "question is not cell-exact intervention-additive (" +
-        report.cell_additivity.reason +
-        "); enable exact_rescore_when_not_additive or rank by aggravation");
-  }
-
-  // Hybrid path: use the cube's mu_interv column as a proxy to select a
-  // candidate pool, rescore each candidate exactly with program P, then
-  // rank (and apply minimality) on the exact degrees.
-  report.exact_rescored = true;
-  size_t pool_size = std::max(options.exact_rescore_pool, options.top_k);
-  const int64_t select_start_us = Trace::NowMicros();
-  TraceSpan select_span("engine.rescore_select");
-  std::vector<RankedExplanation> pool = TopKExplanations(
-      report.table, DegreeKind::kIntervention, pool_size,
-      options.minimality == MinimalityStrategy::kNone
-          ? MinimalityStrategy::kNone
-          : MinimalityStrategy::kSelfJoin,
-      workers.get());
-  select_span.End();
-  report.stats.topk_ms = PhaseMs(select_start_us);
-  const int64_t rescore_start_us = Trace::NowMicros();
-  TraceSpan rescore_span("engine.exact_rescore");
-  rescore_span.set_arg(static_cast<int64_t>(pool.size()));
-  // Each candidate's program-P evaluation is independent; shards write
-  // disjoint slots of `exact`, so the degrees (and the stable sort below)
-  // match the sequential path bit for bit.
-  std::vector<double> exact(pool.size(), 0.0);
-  XPLAIN_RETURN_IF_ERROR(ParallelShards(
-      workers.get(), pool.size(), [&](int, size_t begin, size_t end) {
-        XPLAIN_TRACE_SPAN("engine.rescore_shard");
-        for (size_t i = begin; i < end; ++i) {
-          XPLAIN_ASSIGN_OR_RETURN(
-              exact[i],
-              InterventionDegreeExact(*intervention_, question,
-                                      pool[i].explanation.predicate()));
-        }
-        return Status::OK();
-      }));
-  for (size_t i = 0; i < pool.size(); ++i) {
-    pool[i].degree = exact[i];
-    // Keep table M in sync so follow-up minimality sees exact values.
-    report.table.mu_interv[pool[i].m_row] = exact[i];
-  }
-  std::stable_sort(pool.begin(), pool.end(),
-                   [](const RankedExplanation& a, const RankedExplanation& b) {
-                     return a.degree > b.degree;
-                   });
-  if (pool.size() > options.top_k) pool.resize(options.top_k);
-  report.explanations = std::move(pool);
-  rescore_span.End();
-  report.stats.exact_rescore_ms = PhaseMs(rescore_start_us);
-  finalize_stats(report);
   return report;
 }
 

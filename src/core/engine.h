@@ -42,7 +42,6 @@ struct ExplainOptions {
   /// InvalidArgument in that situation.
   bool exact_rescore_when_not_additive = true;
   size_t exact_rescore_pool = 50;
-  CubeOptions cube;
   /// Attach a QueryStats per-phase breakdown to the report. The phase
   /// timers are local to the call, but the fixpoint/semijoin figures come
   /// from process-wide counter deltas, so concurrent Explain calls with
@@ -121,6 +120,34 @@ struct ExplainReport {
   /// Pretty-prints the ranked explanations.
   std::string ToString(const Database& db) const;
 };
+
+/// The ranking step of Algorithm 1, shared by ExplainEngine and the
+/// cluster coordinator so one node and K shards rank with the same code
+/// (DESIGN.md §13). Ranks `report->table` by options.degree into
+/// report->explanations and returns false — unless the question needs
+/// exact intervention degrees (ranking by intervention on a question
+/// that is not cell-additive), where the cube's mu_interv column is only
+/// a proxy. Then it selects the candidate pool the proxy ranks highest
+/// into `*candidates`, sets report->exact_rescored and returns true; the
+/// caller computes each candidate's residual subquery values and finishes
+/// with RankExactDegrees. kInvalidArgument when exact degrees are needed
+/// but options.exact_rescore_when_not_additive is off. Fills
+/// report->stats.topk_ms. `pool` (may be null) shards the top-K scans.
+[[nodiscard]] Result<bool> RankTableM(
+    const ExplainOptions& options, ThreadPool* pool, ExplainReport* report,
+    std::vector<RankedExplanation>* candidates);
+
+/// Finishes an exact ranking from RankTableM's `candidates` and their
+/// residual subquery values (residuals[i][j] = q_j(D - Delta^phi_i)):
+/// candidate i's degree is sign * E(residuals[i]), written back into
+/// report->table.mu_interv so follow-up minimality sees exact values;
+/// the candidates are stable-sorted by degree and the first
+/// options.top_k become report->explanations.
+void RankExactDegrees(const UserQuestion& question,
+                      const ExplainOptions& options,
+                      const std::vector<std::vector<double>>& residuals,
+                      std::vector<RankedExplanation> candidates,
+                      ExplainReport* report);
 
 /// The shard-side fragment of one EXPLAIN under the cluster's scatter-
 /// gather protocol (DESIGN.md §13): the *unpruned* table M over this
@@ -208,17 +235,17 @@ class ExplainEngine {
       const UserQuestion& question, const std::vector<ColumnRef>& attributes,
       const ExplainOptions& options = ExplainOptions()) const;
 
-  /// Shard-side half of a scatter-gather exact rescore: for each candidate
-  /// cell, runs program P locally and returns the residual subquery values
-  /// q_j(D_s - Delta^phi_s) (one inner vector per cell, indexed like the
-  /// question's subqueries). The coordinator sums these across shards and
-  /// applies sign * E(...) — exact whenever the partition co-locates every
-  /// base row's universal occurrences (DESIGN.md §13). `num_threads`
-  /// follows the ExplainOptions convention (0 = per-core, also the cap;
-  /// 1 = sequential).
+  /// The program-P step of an exact rescore: for each candidate cell,
+  /// runs program P and returns the residual subquery values
+  /// q_j(D - Delta^phi) (one inner vector per cell, indexed like the
+  /// question's subqueries), for RankExactDegrees. ExplainResolved calls
+  /// it for its own candidates; on a shard it answers the coordinator's
+  /// rescore round, which sums the residuals across shards — exact
+  /// whenever the partition co-locates every base row's universal
+  /// occurrences (DESIGN.md §13). `pool` (may be null) shards the cells.
   [[nodiscard]] Result<std::vector<std::vector<double>>> RescoreCells(
       const UserQuestion& question, const std::vector<ColumnRef>& attributes,
-      const std::vector<Tuple>& cells, int num_threads = 0) const;
+      const std::vector<Tuple>& cells, ThreadPool* pool = nullptr) const;
 
   /// Computes the full incremental effect of `delta` without mutating
   /// anything: closes the delta, derives the U(D) remap and the workspace
@@ -252,6 +279,17 @@ class ExplainEngine {
 
  private:
   ExplainEngine() = default;
+
+  /// The prologue of ExplainResolved and ExplainPartialResolved: the
+  /// subquery checks, both additivity verdicts, and table M pruned at
+  /// `min_support` (the cube path through the workspace, or the naive
+  /// path when options.use_cube is off).
+  [[nodiscard]] Status BuildTable(const UserQuestion& question,
+                                  const std::vector<ColumnRef>& attributes,
+                                  const ExplainOptions& options,
+                                  double min_support, ThreadPool* pool,
+                                  TableM* table, AdditivityReport* additivity,
+                                  AdditivityReport* cell_additivity) const;
 
   const Database* db_ = nullptr;
   std::unique_ptr<UniversalRelation> universal_;

@@ -757,16 +757,16 @@ Result<int64_t> HashedCubes(Kernel& k, const CubeKeys<Key>& keys) {
 Result<std::vector<CubeResult>> ComputeCubes(
     const ColumnCache& cache, const std::vector<ColumnRef>& attributes,
     const std::vector<CubeQuery>& queries, const std::vector<uint32_t>* rows,
-    const CubeOptions& options) {
+    ThreadPool* pool) {
   XPLAIN_TRACE_SPAN("cube.compute");
   const int d = static_cast<int>(attributes.size());
   if (d == 0) {
     return Status::InvalidArgument("cube needs at least one attribute");
   }
-  if (d > options.max_attributes) {
+  if (d > kMaxCubeAttributes) {
     return Status::InvalidArgument(
         "cube over " + std::to_string(d) + " attributes exceeds the cap of " +
-        std::to_string(options.max_attributes));
+        std::to_string(kMaxCubeAttributes));
   }
   if (queries.size() > 64) {
     return Status::InvalidArgument(
@@ -829,9 +829,9 @@ Result<std::vector<CubeResult>> ComputeCubes(
   k.queries = &queries;
   k.rows = rows;
   k.num_input = rows == nullptr ? cache.NumRows() : rows->size();
-  k.pool = options.pool;
-  k.shards = static_cast<size_t>(
-      options.pool == nullptr ? 1 : std::max(options.pool->num_threads(), 1));
+  k.pool = pool;
+  k.shards =
+      static_cast<size_t>(pool == nullptr ? 1 : std::max(pool->num_threads(), 1));
 
   // The storage rule (DESIGN.md §6): a whole-lattice array per shard when
   // the shards' arrays together hold no more cells than there are input
@@ -858,7 +858,7 @@ Result<DataCube> DataCube::Compute(const UniversalRelation& universal,
                                    const std::vector<ColumnRef>& attributes,
                                    const AggregateSpec& agg,
                                    const DnfPredicate* filter,
-                                   const CubeOptions& options) {
+                                   ThreadPool* pool) {
   std::vector<ColumnRef> columns = attributes;
   if (agg.kind != AggregateKind::kCountStar) columns.push_back(agg.column);
   std::vector<uint32_t> rows;
@@ -870,7 +870,7 @@ Result<DataCube> DataCube::Compute(const UniversalRelation& universal,
   XPLAIN_ASSIGN_OR_RETURN(
       std::vector<CubeResult> results,
       ComputeCubes(ColumnCache::Build(universal, columns), attributes,
-                   {CubeQuery{agg, nullptr, false}}, &rows, options));
+                   {CubeQuery{agg, nullptr, false}}, &rows, pool));
   XPLAIN_RETURN_IF_ERROR(results[0].status);
   return std::move(results[0].cube);
 }
@@ -913,6 +913,45 @@ std::string DataCube::ToString(const Database& db, size_t max_cells) const {
   }
   if (shown < keys.size()) out += "\n  ...";
   return out;
+}
+
+std::vector<size_t> CanonicalOrder(const std::vector<const Tuple*>& coords,
+                                   size_t d) {
+  std::vector<uint32_t> ranks(coords.size() * d);
+  auto value_hash = [](const Value* v) { return v->Hash(); };
+  auto value_eq = [](const Value* a, const Value* b) { return a->Equals(*b); };
+  for (size_t i = 0; i < d; ++i) {
+    std::unordered_map<const Value*, uint32_t, decltype(value_hash),
+                       decltype(value_eq)>
+        id_of(16, value_hash, value_eq);
+    std::vector<const Value*> distinct;
+    for (size_t row = 0; row < coords.size(); ++row) {
+      const Value* v = &(*coords[row])[i];
+      auto [it, inserted] =
+          id_of.try_emplace(v, static_cast<uint32_t>(distinct.size()));
+      if (inserted) distinct.push_back(v);
+      ranks[row * d + i] = it->second;
+    }
+    std::vector<uint32_t> by_value(distinct.size());
+    for (uint32_t id = 0; id < by_value.size(); ++id) by_value[id] = id;
+    std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
+      return distinct[a]->Compare(*distinct[b]) < 0;
+    });
+    std::vector<uint32_t> rank_of(distinct.size());
+    for (uint32_t r = 0; r < by_value.size(); ++r) rank_of[by_value[r]] = r;
+    for (size_t row = 0; row < coords.size(); ++row) {
+      ranks[row * d + i] = rank_of[ranks[row * d + i]];
+    }
+  }
+  std::vector<size_t> order(coords.size());
+  for (size_t row = 0; row < order.size(); ++row) order[row] = row;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(ranks.begin() + a * d,
+                                        ranks.begin() + (a + 1) * d,
+                                        ranks.begin() + b * d,
+                                        ranks.begin() + (b + 1) * d);
+  });
+  return order;
 }
 
 Result<CubeJoinResult> FullOuterJoinCubes(
@@ -976,43 +1015,7 @@ Result<CubeJoinResult> FullOuterJoinCubes(
   // iteration order, which varies with how the cells were inserted (e.g.
   // across num_threads settings). Sorting pins table M — and everything
   // downstream of it — to a single representation (DESIGN.md §6).
-  // Each attribute's distinct values are ranked once in Value::Compare
-  // order, so rows sort on integer rank vectors: CompareTuples' order at
-  // integer cost.
-  std::vector<uint32_t> ranks(coords.size() * d);
-  auto value_hash = [](const Value* v) { return v->Hash(); };
-  auto value_eq = [](const Value* a, const Value* b) { return a->Equals(*b); };
-  for (size_t i = 0; i < d; ++i) {
-    std::unordered_map<const Value*, uint32_t, decltype(value_hash),
-                       decltype(value_eq)>
-        id_of(16, value_hash, value_eq);
-    std::vector<const Value*> distinct;
-    for (size_t row = 0; row < coords.size(); ++row) {
-      const Value* v = &(*coords[row])[i];
-      auto [it, inserted] =
-          id_of.try_emplace(v, static_cast<uint32_t>(distinct.size()));
-      if (inserted) distinct.push_back(v);
-      ranks[row * d + i] = it->second;
-    }
-    std::vector<uint32_t> by_value(distinct.size());
-    for (uint32_t id = 0; id < by_value.size(); ++id) by_value[id] = id;
-    std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
-      return distinct[a]->Compare(*distinct[b]) < 0;
-    });
-    std::vector<uint32_t> rank_of(distinct.size());
-    for (uint32_t r = 0; r < by_value.size(); ++r) rank_of[by_value[r]] = r;
-    for (size_t row = 0; row < coords.size(); ++row) {
-      ranks[row * d + i] = rank_of[ranks[row * d + i]];
-    }
-  }
-  std::vector<size_t> order(coords.size());
-  for (size_t row = 0; row < order.size(); ++row) order[row] = row;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return std::lexicographical_compare(ranks.begin() + a * d,
-                                        ranks.begin() + (a + 1) * d,
-                                        ranks.begin() + b * d,
-                                        ranks.begin() + (b + 1) * d);
-  });
+  const std::vector<size_t> order = CanonicalOrder(coords, d);
   CubeJoinResult out;
   out.attributes = cubes[0]->attributes();
   out.coords.reserve(order.size());

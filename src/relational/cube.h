@@ -12,19 +12,8 @@
 
 namespace xplain {
 
-/// Options for DataCube computation.
-/// Thread-safety: plain data, externally synchronized like any struct.
-struct CubeOptions {
-  /// Hard cap on the number of cube attributes (2^d lattice).
-  int max_attributes = 16;
-  /// Non-owning worker pool for the sharded cube evaluation (DESIGN.md §6):
-  /// the input rows are split into per-thread ranges aggregated into
-  /// thread-local cells (merged in shard order — cells are additive under
-  /// any disjoint partition of the input rows), and the roll-up is split
-  /// by subquery (dense lattice) or by mask (hashed cells) so shards write
-  /// disjoint cells. nullptr (the default) runs single-threaded.
-  ThreadPool* pool = nullptr;
-};
+/// The most cube attributes one cube may group by (a 2^d lattice).
+inline constexpr int kMaxCubeAttributes = 16;
 
 /// The result of `GROUP BY ... WITH CUBE` over the universal relation for a
 /// single aggregate (paper Example 4.1).
@@ -41,11 +30,10 @@ class DataCube {
   /// Computes the cube of `agg` over the rows of `universal` satisfying
   /// `filter` (nullptr = all rows), grouped by `attributes`: encodes the
   /// columns privately and runs ComputeCubes.
-  [[nodiscard]] static Result<DataCube> Compute(const UniversalRelation& universal,
-                                  const std::vector<ColumnRef>& attributes,
-                                  const AggregateSpec& agg,
-                                  const DnfPredicate* filter,
-                                  const CubeOptions& options = CubeOptions());
+  [[nodiscard]] static Result<DataCube> Compute(
+      const UniversalRelation& universal,
+      const std::vector<ColumnRef>& attributes, const AggregateSpec& agg,
+      const DnfPredicate* filter, ThreadPool* pool = nullptr);
 
   /// Rewraps an existing cell map as a DataCube without recomputation —
   /// the adoption point for incrementally maintained cubes
@@ -114,8 +102,12 @@ struct CubeResult {
 /// passes; subqueries with the same AggregateSpec share one per-cell
 /// state array. Cells live in a dense array over the whole lattice when
 /// it is small against the input, else in hash maps keyed by the packed
-/// codes (DESIGN.md §6). Both the scan and the roll-up shard across
-/// CubeOptions::pool.
+/// codes (DESIGN.md §6). With a non-owning `pool`, the input rows split
+/// into per-worker ranges aggregated into worker-local cells (merged in
+/// shard order: cells are additive under any disjoint partition of the
+/// rows), and the roll-up splits by subquery (dense lattice) or by mask
+/// (hashed cells) so workers write disjoint cells; nullptr runs on the
+/// caller. At most kMaxCubeAttributes attributes.
 ///
 /// `cache` must hold every attribute, every filter column and every
 /// non-COUNT(*) aggregated column, which SUM/MIN/MAX/AVG need numeric.
@@ -124,7 +116,7 @@ struct CubeResult {
 [[nodiscard]] Result<std::vector<CubeResult>> ComputeCubes(
     const ColumnCache& cache, const std::vector<ColumnRef>& attributes,
     const std::vector<CubeQuery>& queries, const std::vector<uint32_t>* rows,
-    const CubeOptions& options = CubeOptions());
+    ThreadPool* pool = nullptr);
 
 /// The full outer join of m cubes over identical attribute lists: one row
 /// per coordinate appearing in any cube, with that cube's value or 0
@@ -154,6 +146,14 @@ struct CubeJoinResult {
 /// rather than merging garbage.
 [[nodiscard]] Result<CubeJoinResult> FullOuterJoinCubes(
     const std::vector<const DataCube*>& cubes);
+
+/// The canonical row order of table M: the permutation of `coords` (each
+/// of arity `d`, pairwise distinct) that sorts them in CompareTuples
+/// order. Each attribute's distinct values are ranked once, so rows
+/// compare as integer vectors. Shared by FullOuterJoinCubes and the
+/// cluster merge (DESIGN.md §13), so both emit rows in one order.
+std::vector<size_t> CanonicalOrder(const std::vector<const Tuple*>& coords,
+                                   size_t d);
 
 }  // namespace xplain
 

@@ -60,7 +60,9 @@ Result<std::unique_ptr<XplaindService>> XplaindService::Create(
       new XplaindService(std::move(db), options));
   {
     WriterMutexLock lock(&service->db_mu_);
-    XPLAIN_RETURN_IF_ERROR(service->RebuildEngineLocked());
+    XPLAIN_ASSIGN_OR_RETURN(ExplainEngine engine,
+                            ExplainEngine::Create(&service->db_));
+    service->engine_ = std::make_unique<ExplainEngine>(std::move(engine));
   }
   return service;
 }
@@ -91,12 +93,6 @@ XplaindService::~XplaindService() {
   Drain();
   // Workers capture `this`; join them before any member is destroyed.
   pool_->Shutdown();
-}
-
-Status XplaindService::RebuildEngineLocked() {
-  XPLAIN_ASSIGN_OR_RETURN(ExplainEngine engine, ExplainEngine::Create(&db_));
-  engine_ = std::make_unique<ExplainEngine>(std::move(engine));
-  return Status::OK();
 }
 
 std::string XplaindService::HandleLine(const std::string& line) {
@@ -386,8 +382,7 @@ std::string XplaindService::ExecutePayload(
       }
       if (!request.rescore_cells.empty()) {
         Result<std::vector<std::vector<double>>> values =
-            engine_->RescoreCells(*question, *attrs, request.rescore_cells,
-                                  request.options.num_threads);
+            engine_->RescoreCells(*question, *attrs, request.rescore_cells);
         if (!values.ok()) {
           *code = values.status().code();
           return ErrorPayload(values.status());
@@ -597,20 +592,6 @@ Status XplaindService::ApplyDelta(const DeltaSet& delta) {
 
 Status XplaindService::ApplyDeltaLocked(const DeltaSet& delta) {
   XPLAIN_TRACE_SPAN("rpc.apply_delta");
-
-  if (!options_.incremental_deltas) {
-    // Legacy rebuild path: full copy + engine rebuild + cache wipe, all
-    // under the writer lock. Closing the delta *before* the copy keeps the
-    // bump-once contract — ApplyDelta and the follow-up SemijoinReduce
-    // used to bump the version twice per delta (DESIGN.md §10).
-    WriterMutexLock lock(&db_mu_);
-    DeltaSet closed = delta;
-    MarkDanglingRows(db_, &closed);
-    db_ = db_.ApplyDelta(closed);
-    XPLAIN_RETURN_IF_ERROR(RebuildEngineLocked());
-    if (cache_ != nullptr) cache_->InvalidateAll();
-    return CountDeltaApplied();
-  }
 
   // Phase A (read-only, concurrent with requests): close the delta, remap
   // U(D), patch the cube workspace, recompute the unique-core signature.

@@ -36,12 +36,6 @@ struct ServiceOptions {
   /// Serve repeated requests from the explanation cache.
   bool enable_cache = true;
   ExplainCacheOptions cache;
-  /// ApplyDelta maintains the engine in place: plan under a reader lock
-  /// (concurrent EXPLAINs keep running), then swap under a short writer
-  /// lock, then re-key the cache entries the delta did not touch
-  /// (DESIGN.md §10). false = the legacy path: full database copy, engine
-  /// rebuild, and cache wipe, all under the writer lock.
-  bool incremental_deltas = true;
   /// Probe budget for targeted cache invalidation: when cache entries x
   /// removed universal rows exceeds this, ApplyDelta gives up on probing
   /// read sets and wipes the cache instead (still incremental otherwise).
@@ -113,11 +107,11 @@ class XplaindService : public LineService {
                       std::function<void(std::string)> done) override;
 
   /// Applies a tuple delta to the owned database (removing dangling rows
-  /// like the paper's D - Delta semantics). On the default incremental
-  /// path (ServiceOptions::incremental_deltas) the expensive planning —
-  /// delta closure, U(D) remap, cube patches, read-set probing — runs
-  /// under a *reader* lock so concurrent requests keep executing; only the
-  /// final pointer/state swap excludes readers. The database version bumps
+  /// like the paper's D - Delta semantics), maintaining the engine in
+  /// place (DESIGN.md §10). The expensive planning — delta closure, U(D)
+  /// remap, cube patches, read-set probing — runs under a *reader* lock
+  /// so concurrent requests keep executing; only the final pointer/state
+  /// swap excludes readers. The database version bumps
   /// exactly once per delta that removes rows, and not at all for an empty
   /// delta; cache entries whose read sets the delta did not touch survive
   /// under the new version. Deltas serialize against each other.
@@ -162,9 +156,6 @@ class XplaindService : public LineService {
 
  private:
   explicit XplaindService(Database db, const ServiceOptions& options);
-
-  /// Builds the engine for the current db_. Requires exclusive db access.
-  Status RebuildEngineLocked() XPLAIN_REQUIRES(db_mu_);
 
   /// The body of ApplyDelta, for callers already holding delta_mu_ (the
   /// DELTA request handler builds and applies under one lock so row

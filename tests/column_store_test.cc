@@ -287,7 +287,7 @@ TEST(ColumnStoreTest, EveryAggregateKindAcrossPoolSizes) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
         ThreadPool pool(threads);
         TableMOptions options;
-        options.cube.pool = &pool;
+        options.pool = &pool;
         const TableM table = UnwrapOrDie(
             ComputeTableM(universal, c.question, c.attributes, options));
         EXPECT_EQ(table.original_values[1], 0.0);  // no apex cell
@@ -339,7 +339,7 @@ TEST(ColumnStoreTest, FusedPassesMatchOracleOnBothPaths) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       ThreadPool pool(threads);
       TableMOptions options;
-      options.cube.pool = &pool;
+      options.pool = &pool;
       ExpectMatchesOracles(
           universal, c,
           UnwrapOrDie(
@@ -433,9 +433,9 @@ TEST(ColumnStoreTest, DenseAndWideHashedPathsAgree) {
     ThreadPool pool(threads);
     TableMOptions hashed;
     hashed.workspace = &workspace;
-    hashed.cube.pool = &pool;
+    hashed.pool = &pool;
     TableMOptions dense;
-    dense.cube.pool = &pool;
+    dense.pool = &pool;
     const TableM wide_table =
         UnwrapOrDie(ComputeTableM(universal, c.question, c.attributes, hashed));
     ExpectMatchesOracles(fresh, c, wide_table);
@@ -550,7 +550,7 @@ TEST(ColumnStoreTest, WideKeysAfterDeltaMatchOracles) {
     ThreadPool pool(threads);
     TableMOptions options;
     options.workspace = &workspace;
-    options.cube.pool = &pool;
+    options.pool = &pool;
     ExpectMatchesOracles(oracle, c,
                          UnwrapOrDie(ComputeTableM(universal, c.question,
                                                    c.attributes, options)));
@@ -645,7 +645,7 @@ TEST(ColumnStoreTest, NullRulesHoldOnDenseAndHashedPaths) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     ThreadPool pool(threads);
     TableMOptions options;
-    options.cube.pool = &pool;
+    options.pool = &pool;
     ExpectMatchesOracles(universal, kept,
                          UnwrapOrDie(ComputeTableM(universal, kept.question,
                                                    kept.attributes, options)));

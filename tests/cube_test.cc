@@ -79,11 +79,15 @@ TEST_F(CubeTest, SumCube) {
 }
 
 TEST_F(CubeTest, AttributeCapEnforced) {
-  CubeOptions options;
-  options.max_attributes = 1;
-  EXPECT_FALSE(DataCube::Compute(*universal_, {name_, year_},
-                                 AggregateSpec::CountStar(), nullptr, options)
-                   .ok());
+  std::vector<ColumnRef> attributes;
+  for (int i = 0; i <= kMaxCubeAttributes; ++i) {
+    attributes.push_back(i % 2 == 0 ? name_ : year_);
+  }
+  Result<DataCube> over_cap = DataCube::Compute(
+      *universal_, attributes, AggregateSpec::CountStar(), nullptr);
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_NE(over_cap.status().message().find("cap of 16"), std::string::npos)
+      << over_cap.status().ToString();
   EXPECT_FALSE(DataCube::Compute(*universal_, {},
                                  AggregateSpec::CountStar(), nullptr)
                    .ok());

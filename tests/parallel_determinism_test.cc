@@ -98,7 +98,7 @@ TEST_F(ParallelDeterminismTest, TableMMatchesSequentialAcrossPoolSizes) {
   for (int threads : {2, 8}) {
     ThreadPool pool(threads);
     TableMOptions options;
-    options.cube.pool = &pool;
+    options.pool = &pool;
     auto parallel =
         ComputeTableM(engine_->universal(), *question_, Attrs(), options);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
@@ -113,7 +113,7 @@ TEST_F(ParallelDeterminismTest, TableMMatchesNaiveOracle) {
   ASSERT_TRUE(attrs.ok()) << attrs.status().ToString();
   ThreadPool pool(4);
   TableMOptions options;
-  options.cube.pool = &pool;
+  options.pool = &pool;
   auto table =
       ComputeTableM(engine_->universal(), *question_, *attrs, options);
   ASSERT_TRUE(table.ok()) << table.status().ToString();

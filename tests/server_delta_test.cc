@@ -2,8 +2,8 @@
 // targeted cache invalidation keeps untouched entries warm across a
 // version bump, the DELTA wire op applies and validates deltas, reads
 // make progress while a delta is being planned, the bump-once version
-// contract holds end to end, and the legacy rebuild path stays
-// byte-identical to the incremental one.
+// contract holds end to end, and the maintained service stays
+// byte-identical to a fresh one over the rebuilt database.
 
 #include <chrono>
 #include <future>
@@ -42,6 +42,15 @@ Database MakeNatality(size_t rows) {
   options.num_rows = rows;
   options.seed = 2010;
   return UnwrapOrDie(datagen::GenerateNatality(options));
+}
+
+/// The reference for a maintained service: a fresh service over
+/// Database::ApplyDelta of `delta` closed over dangling rows.
+std::unique_ptr<XplaindService> RebuiltService(const Database& db,
+                                               const DeltaSet& delta) {
+  DeltaSet closed = delta;
+  MarkDanglingRows(db, &closed);
+  return UnwrapOrDie(XplaindService::Create(db.ApplyDelta(closed)));
 }
 
 /// TOPK form of the paper's Q_Race: both filters are Asian-only, so a
@@ -236,20 +245,17 @@ TEST(ServerDeltaTest, EmptyDeltaDoesNotBumpOrInvalidate) {
 
 TEST(ServerDeltaTest, OneDeltaBumpsVersionExactlyOnce) {
   // Regression: ApplyDelta used to bump twice per delta (once in
-  // Database::ApplyDelta, once in the follow-up SemijoinReduce).
-  for (const bool incremental : {true, false}) {
-    ServiceOptions options;
-    options.incremental_deltas = incremental;
-    auto service =
-        UnwrapOrDie(XplaindService::Create(MakeRandom(), options));
-    const uint64_t before = service->db_version();
-    DeltaSet delta = service->db().EmptyDelta();
-    const int c_index = *service->db().RelationIndex("C");
-    delta[static_cast<size_t>(c_index)].Set(0);
-    XPLAIN_EXPECT_OK(service->ApplyDelta(delta));
-    EXPECT_EQ(service->db_version(), before + 1)
-        << (incremental ? "incremental" : "legacy");
-  }
+  // Database::ApplyDelta, once in the follow-up SemijoinReduce). The
+  // rebuilt reference database bumps once as well.
+  auto service = UnwrapOrDie(XplaindService::Create(MakeRandom()));
+  const uint64_t before = service->db_version();
+  DeltaSet delta = service->db().EmptyDelta();
+  const int c_index = *service->db().RelationIndex("C");
+  delta[static_cast<size_t>(c_index)].Set(0);
+  auto rebuilt = RebuiltService(service->db(), delta);
+  XPLAIN_EXPECT_OK(service->ApplyDelta(delta));
+  EXPECT_EQ(service->db_version(), before + 1);
+  EXPECT_EQ(rebuilt->db_version(), before + 1);
 }
 
 TEST(ServerDeltaTest, ReadsProgressWhileDeltaIsPlanned) {
@@ -356,34 +362,29 @@ TEST(ServerDeltaTest, ConcurrentReadersDuringRepeatedDeltas) {
             DirectResponse(reference, reference_engine, QMaritalLine(2)));
 }
 
-TEST(ServerDeltaTest, LegacyRebuildPathMatchesIncremental) {
-  ServiceOptions legacy_options;
-  legacy_options.incremental_deltas = false;
-  auto legacy =
-      UnwrapOrDie(XplaindService::Create(MakeRandom(), legacy_options));
-  auto incremental = UnwrapOrDie(XplaindService::Create(MakeRandom()));
-  LoopbackTransport legacy_transport(legacy.get());
-  LoopbackTransport incremental_transport(incremental.get());
-
+TEST(ServerDeltaTest, IncrementalDeltaMatchesRebuiltService) {
+  auto service = UnwrapOrDie(XplaindService::Create(MakeRandom()));
+  LoopbackTransport transport(service.get());
   const std::string line = RandomDbLine(9, 1);
-  EXPECT_EQ(legacy_transport.Call(line), incremental_transport.Call(line));
+  const std::string warm = transport.Call(line);
+  ASSERT_NE(warm.find("\"ok\":true"), std::string::npos) << warm;
 
-  const std::string delta_line =
-      "{\"id\":10,\"op\":\"DELTA\",\"relation\":\"C\",\"rows\":[0,3]}";
-  const std::string legacy_delta = legacy_transport.Call(delta_line);
-  const std::string incremental_delta =
-      incremental_transport.Call(delta_line);
-  ASSERT_NE(legacy_delta.find("\"ok\":true"), std::string::npos)
-      << legacy_delta;
-  EXPECT_EQ(legacy_delta, incremental_delta);
+  DeltaSet delta = service->db().EmptyDelta();
+  const int c_index = *service->db().RelationIndex("C");
+  delta[static_cast<size_t>(c_index)].Set(0);
+  delta[static_cast<size_t>(c_index)].Set(3);
+  auto rebuilt = RebuiltService(service->db(), delta);
+  LoopbackTransport rebuilt_transport(rebuilt.get());
 
-  // Same version, same answers, byte for byte.
-  EXPECT_EQ(legacy->db_version(), incremental->db_version());
-  EXPECT_EQ(legacy_transport.Call(line), incremental_transport.Call(line));
+  const std::string applied = transport.Call(
+      "{\"id\":10,\"op\":\"DELTA\",\"relation\":\"C\",\"rows\":[0,3]}");
+  ASSERT_NE(applied.find("\"ok\":true"), std::string::npos) << applied;
 
-  // The legacy path wiped; the incremental path did not.
-  EXPECT_GE(legacy->GetStats().cache.full_invalidations, 1);
-  EXPECT_EQ(incremental->GetStats().cache.full_invalidations, 0);
+  // Same version, same answers, byte for byte; the maintained service
+  // kept its cache.
+  EXPECT_EQ(service->db_version(), rebuilt->db_version());
+  EXPECT_EQ(transport.Call(line), rebuilt_transport.Call(line));
+  EXPECT_EQ(service->GetStats().cache.full_invalidations, 0);
 }
 
 }  // namespace

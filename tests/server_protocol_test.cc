@@ -128,15 +128,23 @@ TEST(ProtocolTest, RejectsBadOptionValues) {
   EXPECT_FALSE(
       ParseRequest(prefix + R"x("options":{"min_support":-0.5}})x").ok());
   EXPECT_FALSE(ParseRequest(prefix + R"x("options":42})x").ok());
-  // num_threads must fit an int: a larger client value is rejected, not
-  // truncated into a thread count.
-  Result<Request> huge =
-      ParseRequest(prefix + R"x("options":{"num_threads":3000000000}})x");
-  ASSERT_FALSE(huge.ok());
-  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(
-      ParseRequest(prefix + R"x("options":{"num_threads":2147483647}})x")
-          .ok());
+}
+
+// num_threads is no wire member: whatever a client sends there is ignored
+// like any unknown member, and the request runs on one engine thread.
+TEST(ProtocolTest, NumThreadsOnTheWireIsIgnored) {
+  const std::string prefix =
+      R"x({"op":"TOPK","question":{"subqueries":[{"name":"q1",)x"
+      R"x("agg":"count(*)","where":""}],"expr":"q1"},"attrs":["Author.name"],)x";
+  for (const char* threads : {"100000", "3000000000", "-1", "1.5", "\"8\""}) {
+    Result<Request> request = ParseRequest(
+        prefix + R"x("options":{"num_threads":)x" + threads + "}}");
+    ASSERT_TRUE(request.ok()) << threads << ": "
+                              << request.status().ToString();
+    EXPECT_EQ(request->options.num_threads, 1) << threads;
+    EXPECT_EQ(SerializeRequest(*request).find("num_threads"),
+              std::string::npos);
+  }
 }
 
 TEST(ProtocolTest, ExtractRequestIdIsBestEffort) {

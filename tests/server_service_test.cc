@@ -126,9 +126,10 @@ TEST(XplaindServiceTest, ConcurrentLoopbackMatchesDirectEngineByteForByte) {
   EXPECT_GT(stats.cache.hits, 0);
 }
 
-// A client-sent num_threads far beyond the machine is capped at one
-// thread per core: the request answers, byte-identical to num_threads 1.
-TEST(XplaindServiceTest, HugeNumThreadsIsCappedNotSpawned) {
+// A client-sent num_threads is ignored like any unknown member: a value
+// far beyond the machine spawns nothing, and the request answers
+// byte-identical to one that sends 1.
+TEST(XplaindServiceTest, WireNumThreadsIsIgnored) {
   auto with_threads = [](int variant, const std::string& threads) {
     std::string line = MakeLine(variant);
     const std::string options = "\"options\":{";

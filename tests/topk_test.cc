@@ -1,12 +1,15 @@
 #include "core/topk.h"
 
+#include "core/engine.h"
 #include "gtest/gtest.h"
+#include "relational/parser.h"
 #include "tests/test_util.h"
 
 namespace xplain {
 namespace {
 
 using ::xplain::testing::BuildRunningExample;
+using ::xplain::testing::UnwrapOrDie;
 
 /// Builds a hand-crafted table M over two attributes with controlled
 /// degrees. Coordinates use small string/int values.
@@ -153,6 +156,46 @@ TEST_F(TopKTest, EmptyTableYieldsNothing) {
   auto out = TopKExplanations(table_, DegreeKind::kIntervention, 5,
                               MinimalityStrategy::kAppend);
   EXPECT_TRUE(out.empty());
+}
+
+// The exact-degree step shared by one node and the cluster coordinator:
+// degree = sign * E(residuals), written back into mu_interv, a stable sort
+// by degree (ties keep candidate order), then the first top_k.
+TEST_F(TopKTest, RankExactDegreesWritesBackSortsStablyAndTruncates) {
+  AddRow("RR", 0, 1.0, 0.0);
+  AddRow("JG", 0, 2.0, 0.0);
+  AddRow("CM", 0, 3.0, 0.0);
+  AddRow(nullptr, 2001, 4.0, 0.0);
+  AggregateQuery q1, q2;
+  q1.name = "q1";
+  q1.agg = AggregateSpec::CountStar();
+  q2 = q1;
+  q2.name = "q2";
+  ExprPtr expr = UnwrapOrDie(ParseExpression("q1 - q2", {"q1", "q2"}));
+  const UserQuestion question{
+      UnwrapOrDie(NumericalQuery::Create({q1, q2}, expr)), Direction::kHigh};
+  ExplainReport report;
+  report.table = table_;
+  std::vector<RankedExplanation> candidates;
+  for (size_t row = 0; row < 4; ++row) {
+    candidates.push_back(
+        RankedExplanation{table_.ExplanationAt(row), 0.0, row});
+  }
+  ExplainOptions options;
+  options.top_k = 3;
+  // direction high: degree = -(q1 - q2) = 4, 7, 4, -1 for rows 0..3.
+  RankExactDegrees(question, options, {{1, 5}, {0, 7}, {2, 6}, {3, 2}},
+                   candidates, &report);
+  ASSERT_EQ(report.explanations.size(), 3u);
+  EXPECT_EQ(report.explanations[0].m_row, 1u);
+  EXPECT_EQ(report.explanations[1].m_row, 0u);
+  EXPECT_EQ(report.explanations[2].m_row, 2u);
+  EXPECT_EQ(report.explanations[0].degree, 7.0);
+  EXPECT_EQ(report.explanations[1].degree, 4.0);
+  EXPECT_EQ(report.explanations[2].degree, 4.0);
+  // Every candidate's exact degree lands in table M, also the truncated
+  // one.
+  EXPECT_EQ(report.table.mu_interv, (std::vector<double>{4, 7, 4, -1}));
 }
 
 TEST_F(TopKTest, StrategyNames) {
